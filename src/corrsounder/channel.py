@@ -41,7 +41,6 @@ __all__ = [
     "pattern_gain",
     "synthesize_channel",
     "apply_channel",
-    "thermal_noise_psd_dbm_hz",
 ]
 
 log = logging.getLogger(__name__)
@@ -221,11 +220,6 @@ class ScenarioConfig:
     def distance_to(self, rx_index: int) -> float:
         rx = self.rx_locations[rx_index]
         return float(np.linalg.norm(np.subtract(rx.position_m, self.tx_position_m)))
-
-
-def thermal_noise_psd_dbm_hz(noise_figure_db: float = 0.0) -> float:
-    """-174 dBm/Hz thermal density plus a receiver noise figure."""
-    return -174.0 + noise_figure_db
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,12 @@ from __future__ import annotations
 import argparse
 import csv
 import logging
-import math
 import sys
 from importlib import resources
 from pathlib import Path
 
 from . import __version__
-from .channel import apply_channel, synthesize_channel
+from .channel import synthesize_channel
 from .waveform import write_waveform
 from .correlator import (
     correlate_fast,
@@ -44,6 +43,8 @@ from .sweep import (
     max_measurable_path_loss,
     noise_floor_dbm,
     omni_power,
+    probe_waveform,
+    receive,
     run_sweep,
 )
 
@@ -101,14 +102,10 @@ def _cmd_simulate(args) -> int:
         )
     strongest = max(channel.paths, key=lambda p: p.gain)
     rx_az = args.rx_az if args.rx_az is not None else strongest.aoa_az_deg
-    amplitude = math.sqrt(10.0 ** (sc.tx_power_dbm / 10.0))
-    wave = preset.transmit_waveform()
-    from dataclasses import replace
-
-    wave = replace(wave, samples=wave.samples * amplitude)
     rx_loc = sc.rx_locations[args.rx_index]
-    received = apply_channel(
-        wave,
+    received = receive(
+        preset,
+        probe_waveform(preset, sc.tx_power_dbm, "literal" if args.literal else "fast"),
         channel,
         sc.tx_pattern.pointed(*sc.tx_pointing_for(rx_loc)),
         sc.rx_pattern.pointed(rx_az, sc.rx_elevation_deg),
@@ -280,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="directory for cir.csv / pdp.csv")
     p.add_argument("--dump-waveform", action="store_true",
-                   help="also write the received waveform as binary")
+                   help="also write the correlated record as binary: one code period "
+                        "on the fast path, the whole dilated record with --literal")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="azimuth sweep for one receiver")

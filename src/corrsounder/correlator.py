@@ -9,10 +9,10 @@ compressed time ``tau * slide_factor`` where
 
 ``correlate_literal`` implements that mixer sample by sample (the ground
 truth; expensive at full rate).  ``correlate_fast`` produces the same trace
-cheaply: when the slow code is periodic on the sample grid it composes the
-mixer output exactly in the frequency domain from one code period of input,
-otherwise it falls back to a folded cyclic correlation shaped by an
-equivalent low-pass kernel.
+cheaply from the input folded onto one code period: when the slow code is
+periodic on the sample grid the mixer is an exact bank of cyclic
+convolutions over that period (a polyphase kernel), otherwise it falls back
+to a folded cyclic correlation shaped by an equivalent low-pass kernel.
 
 Mixer self-noise: the product of the two code waveforms contains, besides
 the slipping correlation (line pairs j, -j of the two code-harmonic combs),
@@ -271,8 +271,8 @@ def _integer(value: float, what: str) -> int:
     return int(n)
 
 
-def _validate_geometry(w: SampledWaveform, cfg: CorrelatorConfig) -> tuple[int, int, int]:
-    """Common length/rate checks; returns (dilated samples, decim step, gamma)."""
+def _validate_geometry(w: SampledWaveform, cfg: CorrelatorConfig) -> tuple[int, int]:
+    """Common length/rate checks; returns (dilated samples, decim step)."""
     fs = w.sample_rate
     if fs < 2.0 * cfg.tx_chip_rate:
         raise SimulationError(
@@ -280,8 +280,8 @@ def _validate_geometry(w: SampledWaveform, cfg: CorrelatorConfig) -> tuple[int, 
         )
     d = _integer(dilated_period(cfg) * fs, "samples per dilated period")
     step = _integer(fs / cfg.compressed_sample_rate, "decimation factor")
-    gamma = _integer(slide_factor(cfg), "slide factor")
-    return d, step, gamma
+    _integer(slide_factor(cfg), "slide factor")
+    return d, step
 
 
 def _zero_phase_spectrum(taps: np.ndarray, n: int) -> np.ndarray:
@@ -305,13 +305,6 @@ def _lpf_taps(cfg: CorrelatorConfig, fs: float) -> np.ndarray:
 def _lpf_spectrum(cfg: CorrelatorConfig, fs: float, n: int) -> np.ndarray:
     """Cached circular response of the correlator low-pass (do not mutate)."""
     return _zero_phase_spectrum(_lpf_taps(cfg, fs), n)
-
-
-@functools.lru_cache(maxsize=16)
-def _reference_period_cached(
-    cfg: CorrelatorConfig, fs: float, pn: ChipSequence
-) -> np.ndarray | None:
-    return _reference_period(cfg, fs, pn)
 
 
 def _reference_period(cfg: CorrelatorConfig, fs: float, pn: ChipSequence) -> np.ndarray | None:
@@ -389,7 +382,7 @@ def correlate_literal(
     if len(pn) != cfg.code_length:
         raise ConfigError(f"code length mismatch: {len(pn)} vs config {cfg.code_length}")
     fs = rx_wave.sample_rate
-    d, step, _ = _validate_geometry(rx_wave, cfg)
+    d, step = _validate_geometry(rx_wave, cfg)
     if len(rx_wave) < d:
         raise SimulationError(
             f"record of {len(rx_wave)} samples shorter than one dilated period ({d})"
@@ -429,63 +422,39 @@ def _fold(rx_wave: SampledWaveform, p: int) -> np.ndarray:
     return rx_wave.samples[: folds * p].reshape(folds, p).mean(axis=0)
 
 
-@functools.lru_cache(maxsize=8)
-def _composition_plan(cfg: CorrelatorConfig, fs: float, p1: int, p2: int):
-    """Precomputed line-collision indices for the mixer-spectrum composition.
+@functools.lru_cache(maxsize=16)
+def _polyphase_plan(cfg: CorrelatorConfig, fs: float, pn: ChipSequence):
+    """Kernel spectra and output gather of the mixer over one code period.
 
-    Returns (j_idx, i_idx) of shape (collisions, D), the low-pass response
-    sampled on the product-line grid, and the fold indices onto the output
-    spectrum.  Depends only on the config and sample rate, so it is cached
-    across calls.
+    With the received signal x periodic in P1 samples and the local code c
+    periodic in P2, output sample q of the literal mixer is
+
+        y[q] = (G_r (*) x)[q * step mod P1],   r = q mod R,
+        G_r[v] = sum over tau = v (mod P1) of h[tau] * c[(r * step - tau) mod P2]
+
+    where (*) is cyclic convolution over P1, h the zero-phase low-pass and
+    R = P2 / gcd(P2, step) the number of distinct code phases the decimation
+    grid visits.  Returns None when the slow code has no grid-exact period.
+    Depends only on the config, rate and code, so it is cached (do not
+    mutate the arrays).
     """
+    code = _reference_period(cfg, fs, pn)
+    if code is None:
+        return None
     d = _integer(dilated_period(cfg) * fs, "samples per dilated period")
     step = _integer(fs / cfg.compressed_sample_rate, "decimation factor")
-    gamma = _integer(slide_factor(cfg), "slide factor")
-    per_bin = _integer(p1 * p2 / d, "line collisions per bin")
-    ks = np.arange(-(d // 2), d - d // 2)
-    base_j = np.mod(ks, gamma - 1)
-    j_idx = np.empty((per_bin, d), dtype=np.int64)
-    i_idx = np.empty((per_bin, d), dtype=np.int64)
-    for t in range(per_bin):
-        j = base_j + (gamma - 1) * t
-        j_idx[t] = np.mod(j, p1)
-        i_idx[t] = np.mod((ks - gamma * j) // (gamma - 1), p2)
-    h_band = _lpf_spectrum(cfg, fs, d)[np.mod(ks, d)]
-    fold = np.mod(ks, d // step)
-    return j_idx, i_idx, h_band, fold, d // step
-
-
-def _compose_mixer_spectrum(
-    folded: np.ndarray,
-    reference_period: np.ndarray,
-    cfg: CorrelatorConfig,
-    fs: float,
-) -> np.ndarray:
-    """Exact spectral reconstruction of the mixer output from one period.
-
-    Over one dilated period the received signal repeats every P1 samples
-    (spectral lines on bins gamma * j) and the local code every P2 samples
-    (lines on bins (gamma - 1) * i).  Every product line therefore lands on
-    an integer bin k = gamma*j + (gamma-1)*i (mod D), with exactly
-    P1*P2/D solutions per bin; summing them and applying the low-pass
-    reproduces the literal mixer's spectrum bin for bin.  The decimated
-    output is the inverse FFT of the product spectrum folded onto the
-    output grid.
-    """
-    p1 = folded.size
-    p2 = reference_period.size
-    r_lines = sfft.fft(folded) / p1
-    c_lines = sfft.fft(reference_period) / p2
-
-    j_idx, i_idx, h_band, fold, m = _composition_plan(cfg, fs, p1, p2)
-    a = np.zeros(fold.size, dtype=np.complex128)
-    for t in range(j_idx.shape[0]):
-        a += r_lines[j_idx[t]] * c_lines[i_idx[t]]
-    a *= h_band
-    out_spec = np.bincount(fold, weights=a.real, minlength=m) + 1j * np.bincount(
-        fold, weights=a.imag, minlength=m
-    )
-    return m * sfft.ifft(out_spec)
+    p1 = cfg.code_length * _integer(fs / cfg.tx_chip_rate, "samples per tx chip")
+    p2 = code.size
+    phases = p2 // math.gcd(p2, step)
+    taps = _lpf_taps(cfg, fs)
+    if taps.size > d:
+        raise SimulationError("record shorter than the filter kernel")
+    lags = np.arange(taps.size) - (taps.size - 1) // 2
+    weights = taps * code[(np.arange(phases)[:, None] * step - lags) % p2]
+    bins = np.arange(phases)[:, None] * p1 + lags % p1
+    kernels = np.bincount(bins.ravel(), weights=weights.ravel(), minlength=phases * p1)
+    q = np.arange(d // step)
+    return sfft.fft(kernels.reshape(phases, p1), axis=1), q % phases, q * step % p1
 
 
 def _folded_template_correlation(
@@ -525,24 +494,24 @@ def correlate_fast(
     """Computationally cheap equivalent of :func:`correlate_literal`.
 
     Needs only one code period of input (more periods are folded before
-    processing).  When the slow code is grid-periodic this reconstructs the
-    literal mixer output exactly (see ``_compose_mixer_spectrum``), so the
-    two paths agree to numerical precision for the periodic signal part;
-    noise enters folded rather than streamed.
+    processing).  When the slow code is grid-periodic the polyphase kernel
+    (``_polyphase_plan``) reproduces the literal mixer exactly, so the two
+    paths agree to numerical precision for the periodic signal part; noise
+    enters folded rather than streamed.
     """
     if len(pn) != cfg.code_length:
         raise ConfigError(f"code length mismatch: {len(pn)} vs config {cfg.code_length}")
     fs = rx_wave.sample_rate
-    d, step, gamma = _validate_geometry(rx_wave, cfg)
+    _validate_geometry(rx_wave, cfg)
     spc = _integer(fs / cfg.tx_chip_rate, "samples per tx chip")
     folded = _fold(rx_wave, cfg.code_length * spc)
 
-    reference_period = _reference_period_cached(cfg, fs, pn)
-    composable = reference_period is not None and (cfg.code_length * spc) % (gamma - 1) == 0
-    if composable:
-        compressed = _compose_mixer_spectrum(folded, reference_period, cfg, fs)
-    else:
+    plan = _polyphase_plan(cfg, fs, pn)
+    if plan is None:
         compressed = _folded_template_correlation(folded, cfg, fs, pn)
+    else:
+        spectra, rows, cols = plan
+        compressed = sfft.ifft(spectra * sfft.fft(folded), axis=1)[rows, cols]
     return _make_cir(compressed, cfg)
 
 

@@ -181,7 +181,7 @@ def system_pulse_energy_bins(preset: SounderPreset) -> float:
     Passing the result as ``pulse_bins`` to :func:`pdp_from_iq` makes a
     thresholded single-path total integrate back to the path's peak power.
     """
-    wave = preset.transmit_waveform()
+    wave = preset.transmit_waveform(periods=1)
     cir = correlate_fast(wave, preset.config, preset.chip_sequence())
     out = threshold_pdp(pdp_from_iq(cir, pulse_bins=1.0))
     peak = 10.0 ** (out.peak_power_dbm / 10.0)

@@ -13,6 +13,7 @@ chips per state update.  Output is bit-identical to serial stepping.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,15 +81,16 @@ def preset(order: int) -> LfsrSpec:
 
 @dataclass(frozen=True, eq=False)
 class ChipSequence:
-    """Bipolar (+/-1) chips plus the LFSR spec they came from."""
+    """Bipolar (+/-1) chips (a read-only copy) plus the LFSR spec they came from."""
 
     chips: np.ndarray
     spec: LfsrSpec
 
     def __post_init__(self) -> None:
-        chips = np.asarray(self.chips, dtype=np.int8)
+        chips = np.array(self.chips, dtype=np.int8)
         if chips.ndim != 1 or not np.isin(chips, (-1, 1)).all():
             raise ConfigError("chips must be a 1-D vector of -1/+1 values")
+        chips.setflags(write=False)
         object.__setattr__(self, "chips", chips)
 
     def __len__(self) -> int:
@@ -130,11 +132,13 @@ def _transition_matrix(spec: LfsrSpec) -> np.ndarray:
     return a
 
 
+@functools.lru_cache(maxsize=None)
 def generate_msequence(spec: LfsrSpec) -> ChipSequence:
     """Serial generation of the full period 2^order - 1.
 
     Raises ConfigError when the feedback polynomial is not primitive for
     the given order (the state returns to the seed before the full period).
+    The result is cached per spec and shared (chips are read-only).
     """
     n = spec.period
     state = np.asarray(spec.seed, dtype=np.uint8)

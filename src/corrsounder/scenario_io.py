@@ -362,10 +362,9 @@ def run_campaign(spec: CampaignSpec) -> ResultBundle:
                 preset=preset,
                 averages=spec.averages,
             )
-        except Exception as exc:
-            raise type(exc)(
-                f"location {sc.rx_locations[index].ident}: {exc}"
-            ) from exc
+        except Exception:
+            log.error("location %s: sweep failed", sc.rx_locations[index].ident)
+            raise
 
     if spec.workers > 1:
         with ThreadPoolExecutor(max_workers=spec.workers) as pool:

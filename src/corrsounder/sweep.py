@@ -15,12 +15,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ScenarioConfig, apply_channel, fspl, synthesize_channel
+from .channel import AntennaPattern, MultipathChannel, ScenarioConfig, apply_channel, fspl, synthesize_channel
 from .correlator import (
     SounderPreset,
     correlate_fast,
     correlate_literal,
     processing_gain,
+    slide_factor,
 )
 from .errors import AnalysisError, ConfigError
 from .pdp import (
@@ -30,6 +31,7 @@ from .pdp import (
     system_pulse_energy_bins,
     threshold_pdp,
 )
+from .waveform import SampledWaveform
 
 __all__ = [
     "DirectionalRecord",
@@ -37,6 +39,8 @@ __all__ = [
     "CiFit",
     "LinkBudget",
     "ABSENT_POWER_DBM",
+    "probe_waveform",
+    "receive",
     "run_sweep",
     "omni_power",
     "path_loss",
@@ -90,6 +94,37 @@ def _angle_grid(step: float, start: float = 0.0) -> list[float]:
     return [(start + k * step) % 360.0 for k in range(int(round(spokes)))]
 
 
+def probe_waveform(
+    preset: SounderPreset, tx_power_dbm: float, method: str = "fast"
+) -> SampledWaveform:
+    """Transmitted probe at ``tx_power_dbm``: one code period for the fast
+    correlator (it folds its input onto one period anyway), the whole dilated
+    record for the literal mixer."""
+    wave = preset.transmit_waveform(periods=1 if method == "fast" else None)
+    return replace(wave, samples=wave.samples * math.sqrt(10.0 ** (tx_power_dbm / 10.0)))
+
+
+def receive(
+    preset: SounderPreset,
+    wave: SampledWaveform,
+    channel: MultipathChannel,
+    tx_pattern: AntennaPattern,
+    rx_pattern: AntennaPattern,
+    noise_psd_dbm_hz: float,
+    rng: np.random.Generator | int | None = None,
+) -> SampledWaveform:
+    """The channel plus receiver noise, referred to the record's length.
+
+    A record shorter than the dilated period stands for the dilated record
+    folded onto it: averaging ``folds`` copies of white noise divides its
+    variance by ``folds``, so the noise PSD is lowered by 10 log10(folds).
+    The whole dilated record (``folds`` = 1) gets the PSD unchanged.
+    """
+    folds = round(slide_factor(preset.config)) * wave.period_samples / len(wave)
+    psd = noise_psd_dbm_hz - 10.0 * math.log10(folds)
+    return apply_channel(wave, channel, tx_pattern, rx_pattern, psd, rng)
+
+
 def run_sweep(
     sc: ScenarioConfig,
     rx_index: int,
@@ -106,10 +141,10 @@ def run_sweep(
     The angle grid starts at the spoke nearest the strongest path's arrival
     azimuth (the operator's best-pointing convention); power analyses are
     invariant to that rotation.  Each (angle, sweep) acquisition applies the
-    channel with independently seeded noise, correlates (``method`` picks the
-    fast equivalent or the literal mixer), averages ``averages`` captures
-    non-coherently and thresholds the result.  Angles whose thresholded PDP
-    keeps no sample are recorded as signal-absent.
+    channel with independently seeded noise (:func:`receive`), correlates
+    (``method`` picks the fast equivalent or the literal mixer), averages
+    ``averages`` captures non-coherently and thresholds the result.  Angles
+    whose thresholded PDP keeps no sample are recorded as signal-absent.
     """
     if sweeps < 1:
         raise ConfigError("sweeps must be >= 1")
@@ -129,9 +164,7 @@ def run_sweep(
         start = round(strongest.aoa_az_deg / step_deg) * step_deg
     grid = _angle_grid(step_deg, start)
 
-    amplitude = math.sqrt(10.0 ** (sc.tx_power_dbm / 10.0))
-    base = preset.transmit_waveform()
-    wave = replace(base, samples=base.samples * amplitude)
+    wave = probe_waveform(preset, sc.tx_power_dbm, method)
     chips = preset.chip_sequence()
     pulse_bins = system_pulse_energy_bins(preset)
     correlate = correlate_fast if method == "fast" else correlate_literal
@@ -146,7 +179,7 @@ def run_sweep(
             acquisitions = []
             for a in range(averages):
                 rng = np.random.default_rng((seed, rx_index, ai, noise_key, a))
-                received = apply_channel(wave, channel, tx_pattern, rx_pattern, noise_psd, rng)
+                received = receive(preset, wave, channel, tx_pattern, rx_pattern, noise_psd, rng)
                 cir = correlate(received, preset.config, chips)
                 acquisitions.append(
                     pdp_from_iq(

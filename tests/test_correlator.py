@@ -18,9 +18,12 @@ from corrsounder.correlator import (
     rx_chip_rate_from_divider,
     slide_factor,
     write_cir_csv,
+    _polyphase_plan,
 )
 from corrsounder.errors import ConfigError, OperationCancelled, SimulationError
 from corrsounder.pdp import system_pulse_energy_bins
+from corrsounder.pn import generate_msequence, preset
+from corrsounder.waveform import upsample_chips
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +162,30 @@ class TestFastEquivalent:
         fast = correlate_fast(replace(desk_wave, samples=s), desk.config, desk_chips)
         assert np.abs(lit.cir - fast.cir).max() < 1e-10
 
+    @pytest.mark.parametrize(
+        "order, gamma, spc, phases",
+        [(3, 8, 8, 16), (7, 255, 16, 8)],
+        ids=["order3-gamma8-spc8", "order7-gamma255-spc16"],
+    )
+    def test_exact_match_on_other_grid_periodic_configs(self, order, gamma, spc, phases):
+        # the polyphase kernel on configs other than desk: its phase count
+        # R = P2 / gcd(P2, step) and the 1e-10 bound against the oracle
+        chips = generate_msequence(preset(order))
+        cfg = CorrelatorConfig(1e6, 1e6 * (gamma - 1) / gamma, len(chips))
+        wave = upsample_chips(chips, cfg.tx_chip_rate, spc, gamma)
+        assert _polyphase_plan(cfg, wave.sample_rate, chips)[0].shape == (phases, len(chips) * spc)
+        rng = np.random.default_rng(order)
+        s = np.zeros_like(wave.samples)
+        for _ in range(3):
+            s += rng.uniform(0.2, 1.0) * np.exp(2j * np.pi * rng.random()) * np.roll(
+                wave.samples, rng.integers(0, len(chips) * spc)
+            )
+        lit = correlate_literal(replace(wave, samples=s), cfg, chips)
+        fast = correlate_fast(replace(wave, samples=s), cfg, chips)
+        one = correlate_fast(replace(wave, samples=s[: len(chips) * spc]), cfg, chips)
+        assert np.abs(lit.cir - fast.cir).max() < 1e-10
+        assert np.abs(lit.cir - one.cir).max() < 1e-10
+
     def test_fast_accepts_single_code_period(self, desk, desk_chips):
         one = desk.transmit_waveform(periods=1)
         cir = correlate_fast(one, desk.config, desk_chips)
@@ -174,6 +201,7 @@ class TestFastEquivalent:
         # rx code has no grid-exact period at 2 GS/s, exercising the folded
         # template branch; 10-chip delay lands on bin 160
         preset = full_preset()
+        assert _polyphase_plan(preset.config, preset.sample_rate, preset.chip_sequence()) is None
         wave = preset.transmit_waveform(periods=2)
         delayed = replace(wave, samples=np.roll(wave.samples, 10 * 4))
         cir = correlate_fast(delayed, preset.config, preset.chip_sequence())

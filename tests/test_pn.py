@@ -87,6 +87,12 @@ class TestGenerateMsequence:
         b = generate_msequence(preset(7))
         assert np.array_equal(a.chips, b.chips)
 
+    def test_cached_per_spec_and_read_only(self):
+        seq = generate_msequence(preset(7))
+        assert generate_msequence(preset(7)) is seq
+        with pytest.raises(ValueError):
+            seq.chips[0] = -seq.chips[0]
+
     def test_matches_scipy_up_to_shift(self):
         # scipy's generator uses the reciprocal polynomial convention, which
         # produces the time-reversed sequence; cyclic correlation against the

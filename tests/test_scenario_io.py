@@ -15,6 +15,7 @@ from corrsounder.scenario_io import (
     run_campaign,
     save_scenario,
 )
+from corrsounder.waveform import read_waveform
 
 MINI_SCENARIO = """
 name: mini
@@ -172,18 +173,42 @@ class TestRunCampaign:
         assert other.manifest["config_hash"] != bundle.manifest["config_hash"]
 
     def test_worker_pool_matches_serial_results(self, mini_campaign, tmp_path):
-        spec, bundle = mini_campaign
+        # same spec and seed: byte-identical bundles, PDPs included, for any
+        # worker count
+        spec, _ = mini_campaign
         from dataclasses import replace
 
-        parallel = run_campaign(
-            replace(spec, workers=3, out_dir=str(tmp_path / "par"))
-        )
-        assert [loc.omni_dbm for loc in parallel.locations] == [
-            loc.omni_dbm for loc in bundle.locations
-        ]
-        serial_doc = (bundle.out_dir / "bundle.json").read_text()
-        parallel_doc = (parallel.out_dir / "bundle.json").read_text()
-        assert serial_doc == parallel_doc
+        digests = []
+        for workers in (1, 2, 3):
+            out = tmp_path / f"w{workers}"
+            run_campaign(replace(spec, workers=workers, save_pdps=True, out_dir=str(out)))
+            digests.append({
+                str(path.relative_to(out)): hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in sorted(out.rglob("*")) if path.is_file()
+            })
+        assert any(name.startswith("pdps") for name in digests[0])
+        assert digests[0] == digests[1] == digests[2]
+
+    def test_sweep_failure_keeps_exception_and_names_location(
+        self, mini_campaign, tmp_path, monkeypatch, caplog
+    ):
+        # a foreign exception type must come through as itself, not be
+        # rebuilt from a message string
+        spec, _ = mini_campaign
+        from dataclasses import replace
+
+        import corrsounder.scenario_io as scenario_io
+
+        original = UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+
+        def broken(*args, **kwargs):
+            raise original
+
+        monkeypatch.setattr(scenario_io, "run_sweep", broken)
+        with pytest.raises(UnicodeDecodeError) as info:
+            run_campaign(replace(spec, out_dir=str(tmp_path / "broken")))
+        assert info.value is original
+        assert "location A: sweep failed" in caplog.text
 
     def test_single_kind_requires_rx_index(self, mini_campaign):
         spec, _ = mini_campaign
@@ -292,7 +317,8 @@ class TestCli:
         ]) == 0
         assert (out / "cir.csv").exists()
         assert (out / "pdp.csv").exists()
-        assert (out / "received.bin").exists()
+        # fast path: the received record is one code period (127 chips x 8)
+        assert len(read_waveform(out / "received.bin")) == 127 * 8
         text = capsys.readouterr().out
         assert "direct" in text
         # single dominant path: calibrated total tracks the peak
@@ -300,6 +326,17 @@ class TestCli:
         peak = float(line.split("peak ")[1].split(" dBm")[0])
         total = float(line.split("total ")[1].split(" dBm")[0])
         assert total == pytest.approx(peak, abs=0.7)
+
+    def test_simulate_literal_dumps_dilated_record(self, tmp_path):
+        scenario = tmp_path / "mini.yaml"
+        scenario.write_text(MINI_SCENARIO.replace("label: far-ish", "label: los"))
+        out = tmp_path / "sim"
+        assert cli_main([
+            "simulate", "--scenario", str(scenario), "--rx-index", "0",
+            "--out", str(out), "--dump-waveform", "--literal",
+        ]) == 0
+        # slide factor 128 code periods of 127 chips x 8 samples
+        assert len(read_waveform(out / "received.bin")) == 128 * 127 * 8
 
     def test_sweep_smoke(self, tmp_path, capsys):
         scenario = tmp_path / "mini.yaml"

@@ -7,14 +7,16 @@ from hypothesis import strategies as st
 
 from corrsounder.channel import (
     AntennaPattern,
+    MultipathChannel,
     Reflector,
     RxLocation,
     ScenarioConfig,
     Wall,
+    apply_channel,
     fspl,
 )
 from corrsounder.cli import shipped_scenario_path
-from corrsounder.correlator import desk_preset, processing_gain
+from corrsounder.correlator import correlate_fast, desk_preset, processing_gain
 from corrsounder.scenario_io import load_scenario
 from corrsounder.errors import AnalysisError, ConfigError
 from corrsounder.sweep import (
@@ -32,6 +34,8 @@ from corrsounder.sweep import (
     noise_floor_dbm,
     omni_power,
     path_loss,
+    probe_waveform,
+    receive,
     run_sweep,
 )
 
@@ -280,6 +284,39 @@ class TestRunSweep:
 
     def test_processing_gain_constant_available(self):
         assert processing_gain(128.0) == pytest.approx(21.07, abs=0.01)
+
+
+class TestFoldedNoise:
+    def test_one_period_noise_matches_folded_full_record(self, desk):
+        # noise drawn on one code period at PSD - 10 log10(slide factor) must
+        # give the same mean correlator power as noise drawn on the whole
+        # dilated record and folded by correlate_fast
+        silent = MultipathChannel(paths=(), carrier_hz=73.5e9)
+        iso = AntennaPattern.isotropic()
+        chips = desk.chip_sequence()
+        one_period = probe_waveform(desk, 0.0, "fast")
+        full_record = probe_waveform(desk, 0.0, "literal")
+        acquisitions = (
+            lambda rng: receive(desk, one_period, silent, iso, iso, -100.0, rng),
+            lambda rng: apply_channel(full_record, silent, iso, iso, -100.0, rng),
+        )
+        draws = 100
+        stats = []
+        for acquire in acquisitions:
+            powers = [
+                np.mean(np.abs(correlate_fast(
+                    acquire(np.random.default_rng((k, 1))), desk.config, chips
+                ).cir) ** 2)
+                for k in range(draws)
+            ]
+            stats.append((np.mean(powers), np.std(powers, ddof=1) / math.sqrt(draws)))
+        (one, se_one), (full, se_full) = stats
+        # four standard errors of the difference of the two means; the
+        # per-draw spread (about 7% of the mean) keeps that near 4% (0.2 dB),
+        # far below the 3 dB or more a mis-referred fold count would show
+        tolerance = 4.0 * math.hypot(se_one, se_full)
+        assert tolerance < 0.1 * full
+        assert abs(one - full) <= tolerance
 
 
 def angular_lobes(table, margin_db):
