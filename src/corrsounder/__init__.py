@@ -39,7 +39,7 @@ from .correlator import (
     rx_chip_rate_from_divider,
     slide_factor,
 )
-from .errors import AnalysisError, ConfigError, OperationCancelled, SimulationError, SounderError
+from .errors import AnalysisError, ConfigError, SimulationError, SounderError
 from .pdp import (
     DriftModel,
     PowerDelayProfile,
@@ -84,4 +84,4 @@ from .sweep import (
     path_loss,
     run_sweep,
 )
-from .waveform import SampledWaveform, lowpass, read_waveform, shift_trigger, upsample_chips, write_waveform
+from .waveform import SampledWaveform, read_waveform, shift_trigger, upsample_chips, write_waveform

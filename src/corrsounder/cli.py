@@ -33,7 +33,7 @@ from .correlator import (
 from .errors import AnalysisError, ConfigError, SounderError
 from .pdp import pdp_from_iq, system_pulse_energy_bins, threshold_pdp, write_pdp_csv
 from .pn import generate_msequence, periodic_autocorrelation, preset as pn_preset
-from .scenario_io import CampaignSpec, emit_plot_data, load_scenario, run_campaign
+from .scenario_io import CampaignSpec, emit_plot_data, load_scenario, run_campaign, write_angular_csv
 from .sweep import (
     LinkBudget,
     angular_spectrum,
@@ -151,17 +151,14 @@ def _cmd_sweep(args) -> int:
     )
     omni = omni_power(ss)
     print(f"{ss.rx_ident}: omni {omni if omni is None else f'{omni:.2f} dBm'}")
-    for az, power in angular_spectrum(ss):
+    spectrum = angular_spectrum(ss)
+    for az, power in spectrum:
         print(f"  az {az:5.1f} deg: {power:9.2f} dBm")
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         path = out / f"angular_{ss.rx_ident}.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["azimuth_deg", "power_dBm"])
-            for az, power in angular_spectrum(ss):
-                writer.writerow([f"{az:.6f}", f"{power:.6f}"])
+        write_angular_csv(spectrum, path)
         print(f"angular spectrum written to {path}")
     return 0
 
@@ -179,7 +176,6 @@ def _cmd_campaign(args) -> int:
         rx_index=args.rx_index,
         speed_mps=args.speed,
         save_pdps=args.save_pdps,
-        workers=args.workers,
     )
     bundle = run_campaign(spec)
     print(f"campaign '{spec.kind}' on {bundle.scenario.name}: {len(bundle.locations)} locations")
@@ -304,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rx-index", type=int, default=None, help="single-kind receiver index")
     p.add_argument("--speed", type=float, default=35.0, help="speed (m/s) for the fading-rate report")
     p.add_argument("--save-pdps", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_campaign)
 
     p = sub.add_parser("fit", help="CI path-loss fit on a CSV (distance_m, path_loss_db)")
@@ -326,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("emit", help="plot-ready CSVs from a campaign bundle")
     p.add_argument("--bundle", required=True, help="campaign output directory")
-    p.add_argument("--kind", choices=["pathloss", "polar", "route"], required=True)
+    p.add_argument("--kind", choices=["pathloss", "route"], required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_emit)
 

@@ -37,12 +37,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy import fft as sfft
 
-from .errors import ConfigError, OperationCancelled, SimulationError
+from .errors import ConfigError, SimulationError
 from .pn import ChipSequence, LfsrSpec, generate_msequence, preset
 from .waveform import SampledWaveform, design_lowpass_taps, upsample_chips
 
@@ -66,6 +65,8 @@ __all__ = [
 #: Compressed-domain output rate, in samples per dilated chip duration.
 COMPRESSED_SAMPLES_PER_CHIP = 16
 
+#: Block length of the local-code index build when the slow code has no
+#: grid-exact period; bounds its int64/float64 temporaries on long records.
 _CHUNK = 1 << 22
 
 
@@ -294,17 +295,10 @@ def _zero_phase_spectrum(taps: np.ndarray, n: int) -> np.ndarray:
     return sfft.fft(kernel)
 
 
-def _lpf_taps(cfg: CorrelatorConfig, fs: float) -> np.ndarray:
-    # Narrow transition centred on the cutoff keeps the noise-equivalent
-    # bandwidth within 0.1 dB of 2 x lpf_cutoff (the processing-gain math
-    # depends on that).
-    return design_lowpass_taps(cfg.lpf_cutoff, fs, transition=cfg.lpf_cutoff / 4.0)
-
-
 @functools.lru_cache(maxsize=16)
 def _lpf_spectrum(cfg: CorrelatorConfig, fs: float, n: int) -> np.ndarray:
     """Cached circular response of the correlator low-pass (do not mutate)."""
-    return _zero_phase_spectrum(_lpf_taps(cfg, fs), n)
+    return _zero_phase_spectrum(design_lowpass_taps(cfg.lpf_cutoff, fs), n)
 
 
 def _reference_period(cfg: CorrelatorConfig, fs: float, pn: ChipSequence) -> np.ndarray | None:
@@ -322,13 +316,7 @@ def _reference_period(cfg: CorrelatorConfig, fs: float, pn: ChipSequence) -> np.
     return pn.chips[idx].astype(np.float64)
 
 
-def _reference_full(
-    cfg: CorrelatorConfig,
-    fs: float,
-    pn: ChipSequence,
-    d: int,
-    tick: Callable[[float], None],
-) -> np.ndarray:
+def _reference_full(cfg: CorrelatorConfig, fs: float, pn: ChipSequence, d: int) -> np.ndarray:
     """Local code waveform over the whole dilated record."""
     period = _reference_period(cfg, fs, pn)
     if period is not None:
@@ -342,7 +330,6 @@ def _reference_full(
         idx = (np.arange(start, stop, dtype=np.float64) * ratio).astype(np.int64)
         idx %= cfg.code_length
         raw[start:stop] = chips[idx]
-        tick(0.15 * stop / d)
     return raw
 
 
@@ -363,21 +350,14 @@ def _make_cir(compressed: np.ndarray, cfg: CorrelatorConfig) -> DilatedCir:
 
 
 def correlate_literal(
-    rx_wave: SampledWaveform,
-    cfg: CorrelatorConfig,
-    pn: ChipSequence,
-    progress: Callable[[float], bool] | None = None,
+    rx_wave: SampledWaveform, cfg: CorrelatorConfig, pn: ChipSequence
 ) -> DilatedCir:
     """Sample-by-sample sliding mixer, the ground-truth receiver.
 
-    Pipeline: multiply by the locally generated slower PN waveform (premixed
-    when the config says so), low-pass at ``cfg.lpf_cutoff`` (circular FIR:
-    both code cycles complete an integer number of laps per dilated period,
-    so the signal product is periodic), decimate to 16 samples per
-    chip-equivalent, emit one dilated period.
-
-    ``progress`` is called with a completed fraction after each block; return
-    False to cancel the run.
+    Pipeline: multiply by the locally generated slower PN waveform, low-pass
+    at ``cfg.lpf_cutoff`` (circular FIR: both code cycles complete an integer
+    number of laps per dilated period, so the signal product is periodic),
+    decimate to 16 samples per chip-equivalent, emit one dilated period.
     """
     if len(pn) != cfg.code_length:
         raise ConfigError(f"code length mismatch: {len(pn)} vs config {cfg.code_length}")
@@ -388,23 +368,9 @@ def correlate_literal(
             f"record of {len(rx_wave)} samples shorter than one dilated period ({d})"
         )
 
-    def tick(frac: float) -> None:
-        if progress is not None and progress(min(frac, 1.0)) is False:
-            raise OperationCancelled("sliding correlation cancelled")
-
-    reference = _reference_full(cfg, fs, pn, d, tick)
-    record = rx_wave.samples
-    mixed = np.empty(d, dtype=np.complex128)
-    for start in range(0, d, _CHUNK):
-        stop = min(start + _CHUNK, d)
-        mixed[start:stop] = record[start:stop] * reference[start:stop]
-        tick(0.15 + 0.45 * stop / d)
-
-    spectrum = sfft.fft(mixed)
+    spectrum = sfft.fft(rx_wave.samples[:d] * _reference_full(cfg, fs, pn, d))
     spectrum *= _lpf_spectrum(cfg, fs, d)
-    tick(0.85)
     filtered = sfft.ifft(spectrum)
-    tick(1.0)
     return _make_cir(filtered[::step], cfg)
 
 
@@ -446,7 +412,7 @@ def _polyphase_plan(cfg: CorrelatorConfig, fs: float, pn: ChipSequence):
     p1 = cfg.code_length * _integer(fs / cfg.tx_chip_rate, "samples per tx chip")
     p2 = code.size
     phases = p2 // math.gcd(p2, step)
-    taps = _lpf_taps(cfg, fs)
+    taps = design_lowpass_taps(cfg.lpf_cutoff, fs)
     if taps.size > d:
         raise SimulationError("record shorter than the filter kernel")
     lags = np.arange(taps.size) - (taps.size - 1) // 2
@@ -476,7 +442,7 @@ def _folded_template_correlation(
     m = COMPRESSED_SAMPLES_PER_CHIP * cfg.code_length
     up = _integer(m / p, "lag-axis upsampling ratio")
     out_rate = cfg.compressed_sample_rate
-    taps_c = design_lowpass_taps(cfg.lpf_cutoff, out_rate, transition=cfg.lpf_cutoff / 4.0)
+    taps_c = design_lowpass_taps(cfg.lpf_cutoff, out_rate)
     shaped = np.tile(sfft.fft(corr), up) * _zero_phase_spectrum(taps_c, m)
     # same low-pass family as the literal path, designed at the output rate
     if up > 1:

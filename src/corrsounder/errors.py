@@ -26,9 +26,3 @@ class AnalysisError(SounderError):
     """Analysis-stage failure: missing products, ill-conditioned fits."""
 
     exit_code = 4
-
-
-class OperationCancelled(SounderError):
-    """Raised when a progress callback asks a long-running op to stop."""
-
-    exit_code = 3

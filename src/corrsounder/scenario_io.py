@@ -15,7 +15,6 @@ import hashlib
 import json
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -46,6 +45,7 @@ __all__ = [
     "save_scenario",
     "run_campaign",
     "emit_plot_data",
+    "write_angular_csv",
 ]
 
 log = logging.getLogger(__name__)
@@ -61,6 +61,11 @@ def _require(condition: bool, message: str) -> None:
 def _check_keys(mapping: dict, allowed: set[str], where: str) -> None:
     unknown = set(mapping) - allowed
     _require(not unknown, f"{where}: unknown keys {sorted(unknown)}")
+
+
+def _required(node: dict, key: str, where: str):
+    _require(key in node, f"{where}: missing required key {key!r}")
+    return node[key]
 
 
 def _floats(value, count: int, where: str) -> tuple[float, ...]:
@@ -133,11 +138,13 @@ def load_scenario(path) -> ScenarioConfig:
         where = f"rx.locations[{n}]"
         _require(isinstance(node, dict), f"{where}: expected a mapping")
         _check_keys(node, {"id", "position_m", "label", "group", "tx_pointing_deg"}, where)
+        ident = str(node.get("id", f"RX{n}"))
+        _require(all(loc.ident != ident for loc in rx_locations), f"{where}: duplicate id {ident!r}")
         pointing = node.get("tx_pointing_deg")
         rx_locations.append(
             RxLocation(
-                ident=str(node.get("id", f"RX{n}")),
-                position_m=_position(node["position_m"], rx_height, f"{where}.position_m"),
+                ident=ident,
+                position_m=_position(_required(node, "position_m", where), rx_height, f"{where}.position_m"),
                 label=str(node.get("label", "los")),
                 group=str(node.get("group", "")),
                 tx_pointing_deg=_pointing(pointing, f"{where}.tx_pointing_deg") if pointing else None,
@@ -148,24 +155,27 @@ def load_scenario(path) -> ScenarioConfig:
     _check_keys(env, {"walls", "wedges", "reflectors"}, "environment")
     walls = []
     for n, node in enumerate(env.get("walls") or []):
-        _check_keys(node, {"start_m", "end_m"}, f"environment.walls[{n}]")
+        where = f"environment.walls[{n}]"
+        _check_keys(node, {"start_m", "end_m"}, where)
         walls.append(
             Wall(
-                start_m=_floats(node["start_m"], 2, f"environment.walls[{n}].start_m"),
-                end_m=_floats(node["end_m"], 2, f"environment.walls[{n}].end_m"),
+                start_m=_floats(_required(node, "start_m", where), 2, f"{where}.start_m"),
+                end_m=_floats(_required(node, "end_m", where), 2, f"{where}.end_m"),
             )
         )
     wedges = []
     for n, node in enumerate(env.get("wedges") or []):
-        _check_keys(node, {"position_m"}, f"environment.wedges[{n}]")
-        wedges.append(_floats(node["position_m"], 2, f"environment.wedges[{n}].position_m"))
+        where = f"environment.wedges[{n}]"
+        _check_keys(node, {"position_m"}, where)
+        wedges.append(_floats(_required(node, "position_m", where), 2, f"{where}.position_m"))
     reflectors = []
     for n, node in enumerate(env.get("reflectors") or []):
-        _check_keys(node, {"start_m", "end_m", "loss_db"}, f"environment.reflectors[{n}]")
+        where = f"environment.reflectors[{n}]"
+        _check_keys(node, {"start_m", "end_m", "loss_db"}, where)
         reflectors.append(
             Reflector(
-                start_m=_floats(node["start_m"], 2, f"environment.reflectors[{n}].start_m"),
-                end_m=_floats(node["end_m"], 2, f"environment.reflectors[{n}].end_m"),
+                start_m=_floats(_required(node, "start_m", where), 2, f"{where}.start_m"),
+                end_m=_floats(_required(node, "end_m", where), 2, f"{where}.end_m"),
                 loss_db=float(node.get("loss_db", 6.0)),
             )
         )
@@ -261,7 +271,6 @@ class CampaignSpec:
     rx_index: int | None = None  # single-kind only
     speed_mps: float = 35.0  # vehicle speed used for the fading-rate report
     save_pdps: bool = False
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.kind not in _CAMPAIGN_KINDS:
@@ -351,9 +360,12 @@ def run_campaign(spec: CampaignSpec) -> ResultBundle:
         if not 0 <= index < len(sc.rx_locations):
             raise ConfigError(f"rx_index {index} out of range for {len(sc.rx_locations)} locations")
 
-    def sweep_one(index: int) -> SweepSet:
+    route_pos = _route_positions(sc)
+    locations: list[LocationResult] = []
+    for index in indices:
+        rx = sc.rx_locations[index]
         try:
-            return run_sweep(
+            ss = run_sweep(
                 sc,
                 index,
                 step_deg=spec.step_deg,
@@ -363,19 +375,8 @@ def run_campaign(spec: CampaignSpec) -> ResultBundle:
                 averages=spec.averages,
             )
         except Exception:
-            log.error("location %s: sweep failed", sc.rx_locations[index].ident)
+            log.error("location %s: sweep failed", rx.ident)
             raise
-
-    if spec.workers > 1:
-        with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-            sweep_sets = list(pool.map(sweep_one, indices))
-    else:
-        sweep_sets = [sweep_one(i) for i in indices]
-
-    route_pos = _route_positions(sc)
-    locations: list[LocationResult] = []
-    for index, ss in zip(indices, sweep_sets):
-        rx = sc.rx_locations[index]
         omni = omni_power(ss)
         locations.append(
             LocationResult(
@@ -440,6 +441,16 @@ def run_campaign(spec: CampaignSpec) -> ResultBundle:
     return bundle
 
 
+def write_angular_csv(spectrum: list[tuple[float, float]], path) -> None:
+    """Per-angle (azimuth, power) table, sentinel rows for absent angles
+    included: the polar plot data of one location."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["azimuth_deg", "power_dBm"])
+        for az, power in spectrum:
+            writer.writerow([f"{az:.6f}", f"{power:.6f}"])
+
+
 def _write_bundle(bundle: ResultBundle, spec: CampaignSpec) -> None:
     out = bundle.out_dir
     (out / "manifest.json").write_text(json.dumps(bundle.manifest, sort_keys=True, indent=1) + "\n")
@@ -480,11 +491,7 @@ def _write_bundle(bundle: ResultBundle, spec: CampaignSpec) -> None:
     angular_dir = out / "angular"
     angular_dir.mkdir(exist_ok=True)
     for loc in bundle.locations:
-        with open(angular_dir / f"{loc.ident}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["azimuth_deg", "power_dBm"])
-            for az, power in loc.spectrum:
-                writer.writerow([f"{az:.6f}", f"{power:.6f}"])
+        write_angular_csv(loc.spectrum, angular_dir / f"{loc.ident}.csv")
 
     if bundle.kind == "route":
         with open(out / "route.csv", "w", newline="") as fh:
@@ -552,9 +559,8 @@ def emit_plot_data(bundle_or_dir, kind: str, out_dir=None) -> list[Path]:
     """Write plot-ready CSVs from a campaign bundle.
 
     pathloss: per-location points plus each CI fit sampled at 50 log-spaced
-    distances.  polar: per-location (azimuth, power) tables including the
-    sentinel rows for signal-absent angles.  route: omni power versus
-    position along the route.
+    distances.  route: omni power versus position along the route.  The
+    polar plot data is the bundle's ``angular/<id>.csv``.
     """
     doc, bundle_dir = _load_bundle_doc(bundle_or_dir)
     out = Path(out_dir) if out_dir is not None else bundle_dir / "plots"
@@ -592,15 +598,6 @@ def emit_plot_data(bundle_or_dir, kind: str, out_dir=None) -> list[Path]:
                         [f"fit-{label}", f"{d:.6f}", f"{math.log10(d):.6f}", f"{pl:.6f}"]
                     )
         written.append(path)
-    elif kind == "polar":
-        for loc in doc["locations"]:
-            path = out / f"polar_{loc['id']}.csv"
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["azimuth_deg", "power_dBm"])
-                for az, power in loc["spectrum"]:
-                    writer.writerow([f"{az:.6f}", f"{power:.6f}"])
-            written.append(path)
     elif kind == "route":
         path = out / "route_power.csv"
         with open(path, "w", newline="") as fh:
@@ -611,5 +608,5 @@ def emit_plot_data(bundle_or_dir, kind: str, out_dir=None) -> list[Path]:
                     writer.writerow([f"{loc['route_position_m']:.6f}", f"{loc['omni_dbm']:.6f}"])
         written.append(path)
     else:
-        raise ConfigError(f"unknown plot kind {kind!r}; choose pathloss, polar or route")
+        raise ConfigError(f"unknown plot kind {kind!r}; choose pathloss or route")
     return written

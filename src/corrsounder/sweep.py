@@ -16,13 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import AntennaPattern, MultipathChannel, ScenarioConfig, apply_channel, fspl, synthesize_channel
-from .correlator import (
-    SounderPreset,
-    correlate_fast,
-    correlate_literal,
-    processing_gain,
-    slide_factor,
-)
+from .correlator import SounderPreset, correlate_fast, processing_gain, slide_factor
 from .errors import AnalysisError, ConfigError
 from .pdp import (
     PowerDelayProfile,
@@ -133,8 +127,6 @@ def run_sweep(
     seed: int,
     preset: SounderPreset,
     averages: int = 1,
-    method: str = "fast",
-    vary_noise_per_sweep: bool = True,
 ) -> SweepSet:
     """One receiver location, ``sweeps`` consecutive azimuth sweeps.
 
@@ -142,18 +134,16 @@ def run_sweep(
     azimuth (the operator's best-pointing convention); power analyses are
     invariant to that rotation.  Each (angle, sweep) acquisition applies the
     channel with independently seeded noise (:func:`receive`), correlates
-    (``method`` picks the fast equivalent or the literal mixer), averages
-    ``averages`` captures non-coherently and thresholds the result.  Angles
-    whose thresholded PDP keeps no sample are recorded as signal-absent.
+    with :func:`correlate_fast`, averages ``averages`` captures
+    non-coherently and thresholds the result.  Angles whose thresholded PDP
+    keeps no sample are recorded as signal-absent.
     """
     if sweeps < 1:
         raise ConfigError("sweeps must be >= 1")
     if averages < 1:
         raise ConfigError("averages must be >= 1")
-    if method not in ("fast", "literal"):
-        raise ConfigError(f"unknown correlation method {method!r}")
+    channel = synthesize_channel(sc, rx_index)  # checks rx_index first
     rx_loc = sc.rx_locations[rx_index]
-    channel = synthesize_channel(sc, rx_index)
 
     tx_az, tx_el = sc.tx_pointing_for(rx_loc)
     tx_pattern = sc.tx_pattern.pointed(tx_az, tx_el)
@@ -164,10 +154,9 @@ def run_sweep(
         start = round(strongest.aoa_az_deg / step_deg) * step_deg
     grid = _angle_grid(step_deg, start)
 
-    wave = probe_waveform(preset, sc.tx_power_dbm, method)
+    wave = probe_waveform(preset, sc.tx_power_dbm)
     chips = preset.chip_sequence()
     pulse_bins = system_pulse_energy_bins(preset)
-    correlate = correlate_fast if method == "fast" else correlate_literal
     noise_psd = sc.effective_noise_psd_dbm_hz
 
     records = []
@@ -175,12 +164,11 @@ def run_sweep(
         rx_pattern = sc.rx_pattern.pointed(azimuth, sc.rx_elevation_deg)
         per_sweep: list[PowerDelayProfile] = []
         for s in range(sweeps):
-            noise_key = s if vary_noise_per_sweep else 0
             acquisitions = []
             for a in range(averages):
-                rng = np.random.default_rng((seed, rx_index, ai, noise_key, a))
+                rng = np.random.default_rng((seed, rx_index, ai, s, a))
                 received = receive(preset, wave, channel, tx_pattern, rx_pattern, noise_psd, rng)
-                cir = correlate(received, preset.config, chips)
+                cir = correlate_fast(received, preset.config, chips)
                 acquisitions.append(
                     pdp_from_iq(
                         cir, pulse_bins, angle=azimuth, location=rx_loc.ident, sweep=s

@@ -1,4 +1,4 @@
-"""Sampled baseband waveforms: chip upsampling, trigger shifts, filtering.
+"""Sampled baseband waveforms: chip upsampling, trigger shifts, low-pass taps.
 
 Chips are rectangular (zero-order hold): the DAC repeats each chip value
 ``samples_per_chip`` times, so no transmit pulse shaping is applied.  All
@@ -26,7 +26,6 @@ __all__ = [
     "SampledWaveform",
     "upsample_chips",
     "shift_trigger",
-    "lowpass",
     "design_lowpass_taps",
     "write_waveform",
     "read_waveform",
@@ -115,45 +114,25 @@ def shift_trigger(
     return replace(w, trigger_index=int(new_index))
 
 
-def design_lowpass_taps(
-    cutoff: float,
-    sample_rate: float,
-    *,
-    attenuation_db: float = 45.0,
-    transition: float | None = None,
-) -> np.ndarray:
+def design_lowpass_taps(cutoff: float, sample_rate: float) -> np.ndarray:
     """Kaiser windowed-sinc lowpass, odd tap count, unity DC gain.
 
-    The -6 dB point sits at ``cutoff``; the transition band is centred on it
-    (default width ``cutoff/2``, clamped below Nyquist).  45 dB of stopband
-    attenuation keeps passband ripple near 0.05 dB, well inside the 0.5 dB
-    budget, and exceeds the 40 dB stopband requirement.
+    The -6 dB point sits at ``cutoff``; the transition band, ``cutoff/4``
+    wide (clamped below Nyquist), is centred on it.  That narrow transition
+    keeps the noise-equivalent bandwidth within 0.1 dB of 2 x ``cutoff``,
+    which the correlator's processing-gain math depends on.  45 dB of
+    stopband attenuation keeps passband ripple near 0.05 dB, well inside the
+    0.5 dB budget, and exceeds the 40 dB stopband requirement.
     """
     nyq = sample_rate / 2.0
     if not 0.0 < cutoff < nyq:
         raise ConfigError(f"cutoff must lie in (0, {nyq}), got {cutoff}")
-    width = transition if transition is not None else cutoff / 2.0
     # Keep the whole transition band under Nyquist.
-    width = min(width, 2.0 * (nyq - cutoff) * 0.98, 2.0 * cutoff * 0.98)
-    numtaps, beta = kaiserord(attenuation_db, width / nyq)
+    width = min(cutoff / 4.0, 2.0 * (nyq - cutoff) * 0.98)
+    numtaps, beta = kaiserord(45.0, width / nyq)
     numtaps += (numtaps + 1) % 2  # odd length -> integer group delay
     taps = firwin(numtaps, cutoff, window=("kaiser", beta), fs=sample_rate)
     return taps / taps.sum()
-
-
-def lowpass(w: SampledWaveform, cutoff: float) -> SampledWaveform:
-    """Linear-phase FIR lowpass with group-delay compensation.
-
-    The filter delays everything by (numtaps - 1) / 2 samples; the output is
-    re-centred by that amount so the trigger index keeps pointing at the code
-    start.  Edge samples (half a kernel at each end) see the usual
-    zero-padding transient.
-    """
-    taps = design_lowpass_taps(cutoff, w.sample_rate)
-    delay = (taps.size - 1) // 2
-    full = np.convolve(w.samples, taps, mode="full")
-    samples = full[delay : delay + len(w)]
-    return replace(w, samples=samples)
 
 
 _MAGIC = b"CSWF"

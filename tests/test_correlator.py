@@ -20,7 +20,7 @@ from corrsounder.correlator import (
     write_cir_csv,
     _polyphase_plan,
 )
-from corrsounder.errors import ConfigError, OperationCancelled, SimulationError
+from corrsounder.errors import ConfigError, SimulationError
 from corrsounder.pdp import system_pulse_energy_bins
 from corrsounder.pn import generate_msequence, preset
 from corrsounder.waveform import upsample_chips
@@ -128,16 +128,6 @@ class TestLiteralMixer:
         short = desk.transmit_waveform(periods=10)
         with pytest.raises(SimulationError, match="dilated period"):
             correlate_literal(short, desk.config, desk_chips)
-
-    def test_cancellation(self, desk, desk_wave, desk_chips):
-        with pytest.raises(OperationCancelled):
-            correlate_literal(desk_wave, desk.config, desk_chips, progress=lambda f: False)
-
-    def test_progress_reported_monotone(self, desk, desk_wave, desk_chips):
-        seen = []
-        correlate_literal(desk_wave, desk.config, desk_chips, progress=lambda f: seen.append(f) or True)
-        assert seen and seen[-1] == 1.0
-        assert all(b >= a for a, b in zip(seen, seen[1:]))
 
     def test_code_length_mismatch(self, desk, desk_wave):
         other = full_preset().chip_sequence()

@@ -88,6 +88,37 @@ class TestLoadScenario:
         with pytest.raises(ConfigError, match="label"):
             load_scenario(path)
 
+    def test_duplicate_ids_rejected(self, mini_path, tmp_path):
+        path = tmp_path / "dup.yaml"
+        path.write_text(mini_path.read_text().replace("id: B", "id: A"))
+        with pytest.raises(ConfigError, match=r"rx.locations\[1\]: duplicate id 'A'"):
+            load_scenario(path)
+
+    @pytest.mark.parametrize(
+        "old, new, where",
+        [
+            ("{id: A, position_m: [20.0, 0.0],", "{id: A,", r"rx.locations\[0\]: missing required key 'position_m'"),
+            ("environment: {}", "environment: {wedges: [{}]}",
+             r"environment.wedges\[0\]: missing required key 'position_m'"),
+            ("environment: {}", "environment: {walls: [{end_m: [1.0, 1.0]}]}",
+             r"environment.walls\[0\]: missing required key 'start_m'"),
+            ("environment: {}", "environment: {walls: [{start_m: [1.0, 1.0]}]}",
+             r"environment.walls\[0\]: missing required key 'end_m'"),
+            ("environment: {}", "environment: {reflectors: [{end_m: [1.0, 1.0]}]}",
+             r"environment.reflectors\[0\]: missing required key 'start_m'"),
+            ("environment: {}", "environment: {reflectors: [{start_m: [1.0, 1.0]}]}",
+             r"environment.reflectors\[0\]: missing required key 'end_m'"),
+        ],
+        ids=["rx-position", "wedge-position", "wall-start", "wall-end", "reflector-start", "reflector-end"],
+    )
+    def test_missing_required_key_rejected(self, mini_path, tmp_path, old, new, where):
+        path = tmp_path / "missing.yaml"
+        text = mini_path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new))
+        with pytest.raises(ConfigError, match=where):
+            load_scenario(path)
+
     def test_defaults_applied(self, mini_path):
         sc = load_scenario(mini_path)
         assert sc.rx_pattern.boresight_gain_dbi == 20.0
@@ -172,23 +203,6 @@ class TestRunCampaign:
         )
         assert other.manifest["config_hash"] != bundle.manifest["config_hash"]
 
-    def test_worker_pool_matches_serial_results(self, mini_campaign, tmp_path):
-        # same spec and seed: byte-identical bundles, PDPs included, for any
-        # worker count
-        spec, _ = mini_campaign
-        from dataclasses import replace
-
-        digests = []
-        for workers in (1, 2, 3):
-            out = tmp_path / f"w{workers}"
-            run_campaign(replace(spec, workers=workers, save_pdps=True, out_dir=str(out)))
-            digests.append({
-                str(path.relative_to(out)): hashlib.sha256(path.read_bytes()).hexdigest()
-                for path in sorted(out.rglob("*")) if path.is_file()
-            })
-        assert any(name.startswith("pdps") for name in digests[0])
-        assert digests[0] == digests[1] == digests[2]
-
     def test_sweep_failure_keeps_exception_and_names_location(
         self, mini_campaign, tmp_path, monkeypatch, caplog
     ):
@@ -231,14 +245,6 @@ class TestRunCampaign:
 
 
 class TestEmitPlotData:
-    def test_polar_rows(self, mini_campaign):
-        _, bundle = mini_campaign
-        written = emit_plot_data(bundle, "polar")
-        assert len(written) == 4
-        with open(written[0], newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert len(rows) == 1 + 4  # all grid angles, sentinel rows included
-
     def test_pathloss_contains_fit_lines(self, mini_campaign):
         _, bundle = mini_campaign
         (path,) = emit_plot_data(bundle, "pathloss")
@@ -304,6 +310,16 @@ class TestCli:
         missing = tmp_path / "nope.yaml"
         assert cli_main(["campaign", "--scenario", str(missing), "--kind", "route", "--out", str(tmp_path / "o")]) == 2
 
+    def test_missing_position_exit_code(self, mini_path, tmp_path):
+        scenario = tmp_path / "missing.yaml"
+        scenario.write_text(mini_path.read_text().replace("{id: A, position_m: [20.0, 0.0],", "{id: A,"))
+        assert cli_main([
+            "campaign", "--scenario", str(scenario), "--kind", "route", "--out", str(tmp_path / "o"),
+        ]) == 2
+
+    def test_sweep_rx_index_out_of_range_exit_code(self):
+        assert cli_main(["sweep", "--scenario", "corner_route", "--rx-index", "99"]) == 2
+
     def test_emit_error_exit_code(self, tmp_path):
         assert cli_main(["emit", "--bundle", str(tmp_path), "--kind", "route"]) == 4
 
@@ -346,3 +362,13 @@ class TestCli:
             "--step-deg", "90", "--sweeps", "1",
         ]) == 0
         assert "omni" in capsys.readouterr().out
+
+    def test_sweep_out_matches_single_campaign_angular_csv(self, mini_path, tmp_path):
+        common = ["--scenario", str(mini_path), "--rx-index", "2", "--step-deg", "90",
+                  "--sweeps", "2", "--seed", "4"]
+        assert cli_main(["sweep", *common, "--out", str(tmp_path / "sweep")]) == 0
+        assert cli_main([
+            "campaign", "--kind", "single", *common, "--out", str(tmp_path / "bundle"),
+        ]) == 0
+        swept = (tmp_path / "sweep" / "angular_C.csv").read_bytes()
+        assert swept == (tmp_path / "bundle" / "angular" / "C.csv").read_bytes()

@@ -4,8 +4,7 @@ import pytest
 from corrsounder.errors import ConfigError
 from corrsounder.pn import generate_msequence, preset
 from corrsounder.waveform import (
-    SampledWaveform,
-    lowpass,
+    design_lowpass_taps,
     read_waveform,
     shift_trigger,
     upsample_chips,
@@ -86,71 +85,29 @@ class TestShiftTrigger:
             shift_trigger(w, 1, 1e-7)  # 0.4 samples
 
 
-class TestLowpass:
-    def test_dc_preserved(self, seq3):
-        w = upsample_chips(seq3, 1e6, 4)
-        dc = SampledWaveform(
-            samples=np.ones(len(w), dtype=complex),
-            sample_rate=w.sample_rate,
-            chip_rate=w.chip_rate,
-        )
-        out = lowpass(dc, 600e3)
-        mid = out.samples[len(out) // 4 : -len(out) // 4]
-        level_db = 20 * np.log10(np.abs(mid).mean())
-        assert abs(level_db) < 0.5
+class TestDesignLowpassTaps:
+    def test_unity_dc_gain(self):
+        taps = design_lowpass_taps(600e3, 4e6)
+        assert taps.size % 2 == 1
+        assert taps.sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_tone_at_twice_cutoff_attenuated(self):
-        fs = 8e6
-        cutoff = 1e6
-        t = np.arange(65536) / fs
-        tone = SampledWaveform(
-            samples=np.exp(2j * np.pi * 2 * cutoff * t), sample_rate=fs, chip_rate=1e6
-        )
-        out = lowpass(tone, cutoff)
-        mid = out.samples[2048:-2048]
-        assert 20 * np.log10(np.abs(mid).max() + 1e-300) <= -40.0
+    @pytest.mark.parametrize(
+        "cutoff, fs",
+        [(1e6, 8e6), (31250.0, 8e6), (31250.0, 125e3)],
+        ids=["1MHz-at-8MSps", "desk-at-8MSps", "desk-at-output-rate"],
+    )
+    def test_twice_cutoff_attenuated(self, cutoff, fs):
+        # the last case puts 2x cutoff exactly at Nyquist (the correlator's
+        # output-rate design)
+        taps = design_lowpass_taps(cutoff, fs)
+        response = np.sum(taps * np.exp(-2j * np.pi * 2 * cutoff * np.arange(taps.size) / fs))
+        assert 20 * np.log10(np.abs(response)) <= -40.0
 
-    def test_linearity(self, seq3):
-        rng = np.random.default_rng(0)
-        fs, n = 8e6, 4096
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        mk = lambda s: SampledWaveform(samples=s, sample_rate=fs, chip_rate=1e6)
-        a, b = 0.7 - 0.2j, -1.3 + 0.5j
-        combined = lowpass(mk(a * x + b * y), 1e6).samples
-        separate = a * lowpass(mk(x), 1e6).samples + b * lowpass(mk(y), 1e6).samples
-        assert np.abs(combined - separate).max() <= 1e-9 * np.abs(separate).max()
-
-    def test_correlation_peak_broadening_below_one_chip(self, seq11):
-        # 500 Mcps chips through a 600 MHz cutoff: the -3 dB width of the
-        # correlation peak grows by less than one chip (8 samples at 2 GS/s)
-        w = upsample_chips(seq11, 500e6, 4)
-        filtered = lowpass(w, 600e6)
-
-        def half_width(samples):
-            corr = np.fft.ifft(
-                np.fft.fft(samples) * np.conj(np.fft.fft(w.samples))
-            )
-            mag = np.abs(np.fft.fftshift(corr))
-            peak = mag.max()
-            above = np.nonzero(mag >= peak / np.sqrt(2))[0]
-            return above.max() - above.min() + 1
-
-        extra_samples = half_width(filtered.samples) - half_width(w.samples)
-        assert extra_samples < w.samples_per_chip
-
-    def test_cutoff_range(self, seq3):
-        w = upsample_chips(seq3, 1e6, 4)
+    def test_cutoff_range(self):
         with pytest.raises(ConfigError):
-            lowpass(w, 0.0)
+            design_lowpass_taps(0.0, 4e6)
         with pytest.raises(ConfigError):
-            lowpass(w, w.sample_rate / 2)
-
-    def test_trigger_alignment_preserved(self, seq11):
-        w = upsample_chips(seq11, 500e6, 4)
-        filtered = lowpass(w, 600e6)
-        corr = np.fft.ifft(np.fft.fft(filtered.samples) * np.conj(np.fft.fft(w.samples)))
-        assert np.argmax(np.abs(corr)) == 0  # no residual group delay
+            design_lowpass_taps(2e6, 4e6)
 
 
 class TestBinaryExport:
