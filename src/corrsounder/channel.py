@@ -22,10 +22,11 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
 
 from .errors import ConfigError, SimulationError
 from .waveform import SampledWaveform
+
+SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact by the SI definition of the metre
 
 __all__ = [
     "AntennaPattern",

@@ -79,7 +79,9 @@ class PowerDelayProfile:
             raise ConfigError("power and delay axes must be matching 1-D vectors")
         if p.size >= 2:
             steps = np.diff(d)
-            if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-18):
+            # np.allclose's test (rtol 1e-9, atol 1e-18) as one reduction; a
+            # NaN step makes the comparison False, so it is rejected too.
+            if not np.abs(steps - steps[0]).max() <= 1e-18 + 1e-9 * abs(steps[0]):
                 raise ConfigError("excess delay axis must be uniform")
         object.__setattr__(self, "power_mw", p)
         object.__setattr__(self, "excess_delay_s", d)

@@ -59,6 +59,7 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _check_keys(mapping: dict, allowed: set[str], where: str) -> None:
+    _require(isinstance(mapping, dict), f"{where}: expected a mapping")
     unknown = set(mapping) - allowed
     _require(not unknown, f"{where}: unknown keys {sorted(unknown)}")
 
@@ -68,15 +69,28 @@ def _required(node: dict, key: str, where: str):
     return node[key]
 
 
+def _entries(node: dict, key: str, where: str) -> list:
+    value = node.get(key) or []
+    _require(isinstance(value, list), f"{where}.{key}: expected a list")
+    return value
+
+
+def _number(value, where: str) -> float:
+    """Every scalar field goes through here: a finite float or a ConfigError."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}: expected a number, got {value!r}") from None
+    _require(math.isfinite(number), f"{where}: expected a finite number, got {value!r}")
+    return number
+
+
 def _floats(value, count: int, where: str) -> tuple[float, ...]:
     _require(
         isinstance(value, (list, tuple)) and len(value) == count,
         f"{where}: expected {count} numbers",
     )
-    try:
-        return tuple(float(v) for v in value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: expected numbers, got {value!r}") from None
+    return tuple(_number(v, where) for v in value)
 
 
 def _position(value, default_height: float, where: str) -> tuple[float, float, float]:
@@ -92,17 +106,17 @@ def _pattern(node: dict | None, default: AntennaPattern, where: str) -> AntennaP
         return default
     _check_keys(node, {"gain_dbi", "hpbw_az_deg", "hpbw_el_deg", "floor_db"}, where)
     return AntennaPattern(
-        boresight_gain_dbi=float(node.get("gain_dbi", default.boresight_gain_dbi)),
-        hpbw_az_deg=float(node.get("hpbw_az_deg", default.hpbw_az_deg)),
-        hpbw_el_deg=float(node.get("hpbw_el_deg", default.hpbw_el_deg)),
-        floor_db=float(node.get("floor_db", default.floor_db)),
+        boresight_gain_dbi=_number(node.get("gain_dbi", default.boresight_gain_dbi), f"{where}.gain_dbi"),
+        hpbw_az_deg=_number(node.get("hpbw_az_deg", default.hpbw_az_deg), f"{where}.hpbw_az_deg"),
+        hpbw_el_deg=_number(node.get("hpbw_el_deg", default.hpbw_el_deg), f"{where}.hpbw_el_deg"),
+        floor_db=_number(node.get("floor_db", default.floor_db), f"{where}.floor_db"),
     )
 
 
 def _pointing(node, where: str) -> tuple[float, float]:
     _require(isinstance(node, dict), f"{where}: expected {{az: ..., el: ...}}")
     _check_keys(node, {"az", "el"}, where)
-    return (float(node.get("az", 0.0)), float(node.get("el", 0.0)))
+    return (_number(node.get("az", 0.0), f"{where}.az"), _number(node.get("el", 0.0), f"{where}.el"))
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -114,11 +128,11 @@ def load_scenario(path) -> ScenarioConfig:
         raise ConfigError(f"{path}: YAML parse error: {exc}") from exc
     if raw is None:
         raise ConfigError(f"{path}: empty scenario file")
-    _require(isinstance(raw, dict), f"{path}: top level must be a mapping")
     _check_keys(raw, {"name", "description", "carrier_hz", "noise", "tx", "rx", "environment"}, str(path))
 
     name = str(raw.get("name", path.stem))
-    carrier = float(raw.get("carrier_hz", 73.5e9))
+    carrier = _number(raw.get("carrier_hz", 73.5e9), "carrier_hz")
+    _require(carrier > 0.0, f"carrier_hz: must be positive, got {carrier}")
 
     noise = raw.get("noise") or {}
     _check_keys(noise, {"psd_dbm_per_hz", "noise_figure_db"}, "noise")
@@ -130,13 +144,12 @@ def load_scenario(path) -> ScenarioConfig:
 
     rx = raw.get("rx") or {}
     _check_keys(rx, {"pattern", "elevation_deg", "default_height_m", "locations"}, "rx")
-    rx_height = float(rx.get("default_height_m", 1.5))
+    rx_height = _number(rx.get("default_height_m", 1.5), "rx.default_height_m")
     locations = rx.get("locations") or []
     _require(isinstance(locations, list) and locations, "rx.locations: need at least one entry")
     rx_locations = []
     for n, node in enumerate(locations):
         where = f"rx.locations[{n}]"
-        _require(isinstance(node, dict), f"{where}: expected a mapping")
         _check_keys(node, {"id", "position_m", "label", "group", "tx_pointing_deg"}, where)
         ident = str(node.get("id", f"RX{n}"))
         _require(all(loc.ident != ident for loc in rx_locations), f"{where}: duplicate id {ident!r}")
@@ -154,7 +167,7 @@ def load_scenario(path) -> ScenarioConfig:
     env = raw.get("environment") or {}
     _check_keys(env, {"walls", "wedges", "reflectors"}, "environment")
     walls = []
-    for n, node in enumerate(env.get("walls") or []):
+    for n, node in enumerate(_entries(env, "walls", "environment")):
         where = f"environment.walls[{n}]"
         _check_keys(node, {"start_m", "end_m"}, where)
         walls.append(
@@ -164,34 +177,34 @@ def load_scenario(path) -> ScenarioConfig:
             )
         )
     wedges = []
-    for n, node in enumerate(env.get("wedges") or []):
+    for n, node in enumerate(_entries(env, "wedges", "environment")):
         where = f"environment.wedges[{n}]"
         _check_keys(node, {"position_m"}, where)
         wedges.append(_floats(_required(node, "position_m", where), 2, f"{where}.position_m"))
     reflectors = []
-    for n, node in enumerate(env.get("reflectors") or []):
+    for n, node in enumerate(_entries(env, "reflectors", "environment")):
         where = f"environment.reflectors[{n}]"
         _check_keys(node, {"start_m", "end_m", "loss_db"}, where)
         reflectors.append(
             Reflector(
                 start_m=_floats(_required(node, "start_m", where), 2, f"{where}.start_m"),
                 end_m=_floats(_required(node, "end_m", where), 2, f"{where}.end_m"),
-                loss_db=float(node.get("loss_db", 6.0)),
+                loss_db=_number(node.get("loss_db", 6.0), f"{where}.loss_db"),
             )
         )
 
     return ScenarioConfig(
         name=name,
         tx_position_m=tx_position,
-        tx_power_dbm=float(tx.get("power_dbm", 14.6)),
+        tx_power_dbm=_number(tx.get("power_dbm", 14.6), "tx.power_dbm"),
         tx_pattern=_pattern(tx.get("pattern"), AntennaPattern.tx_horn(), "tx.pattern"),
         tx_pointing_deg=tx_pointing,
         rx_pattern=_pattern(rx.get("pattern"), AntennaPattern.rx_horn(), "rx.pattern"),
-        rx_elevation_deg=float(rx.get("elevation_deg", 0.0)),
+        rx_elevation_deg=_number(rx.get("elevation_deg", 0.0), "rx.elevation_deg"),
         rx_locations=tuple(rx_locations),
         carrier_hz=carrier,
-        noise_psd_dbm_hz=float(noise.get("psd_dbm_per_hz", -174.0)),
-        noise_figure_db=float(noise.get("noise_figure_db", 5.0)),
+        noise_psd_dbm_hz=_number(noise.get("psd_dbm_per_hz", -174.0), "noise.psd_dbm_per_hz"),
+        noise_figure_db=_number(noise.get("noise_figure_db", 5.0), "noise.noise_figure_db"),
         walls=tuple(walls),
         wedges=tuple(wedges),
         reflectors=tuple(reflectors),

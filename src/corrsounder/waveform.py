@@ -13,11 +13,12 @@ integer sample count are rejected.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import firwin, kaiserord
+from scipy.special import i0
 
 from .errors import ConfigError, SimulationError
 from .pn import ChipSequence
@@ -123,15 +124,28 @@ def design_lowpass_taps(cutoff: float, sample_rate: float) -> np.ndarray:
     which the correlator's processing-gain math depends on.  45 dB of
     stopband attenuation keeps passband ripple near 0.05 dB, well inside the
     0.5 dB budget, and exceeds the 40 dB stopband requirement.
+
+    Kaiser's empirical order and beta formulas (Oppenheim & Schafer,
+    pp. 475-476) for 45 dB, written out in the same operation order as
+    ``scipy.signal.kaiserord``/``firwin`` so the taps are bit-identical to
+    theirs without importing ``scipy.signal``.
     """
     nyq = sample_rate / 2.0
     if not 0.0 < cutoff < nyq:
         raise ConfigError(f"cutoff must lie in (0, {nyq}), got {cutoff}")
     # Keep the whole transition band under Nyquist.
     width = min(cutoff / 4.0, 2.0 * (nyq - cutoff) * 0.98)
-    numtaps, beta = kaiserord(45.0, width / nyq)
+    beta = 0.5842 * (45.0 - 21) ** 0.4 + 0.07886 * (45.0 - 21)
+    numtaps = math.ceil((45.0 - 7.95) / 2.285 / (np.pi * (width / nyq)) + 1)
     numtaps += (numtaps + 1) % 2  # odd length -> integer group delay
-    taps = firwin(numtaps, cutoff, window=("kaiser", beta), fs=sample_rate)
+    alpha = 0.5 * (numtaps - 1)
+    n = np.arange(0, numtaps, dtype=np.float64)
+    window = i0(beta * np.sqrt(1 - ((n - alpha) / alpha) ** 2.0)) / i0(beta)
+    band = cutoff / nyq
+    taps = band * np.sinc(band * (n - alpha)) * window
+    # Two passes, as firwin's own unity-DC scaling followed by ours: a single
+    # pass differs from that in the last bit of some taps.
+    taps /= taps.sum()
     return taps / taps.sum()
 
 

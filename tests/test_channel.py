@@ -12,6 +12,7 @@ from corrsounder.channel import (
     PathComponent,
     Reflector,
     RxLocation,
+    SPEED_OF_LIGHT,
     ScenarioConfig,
     Wall,
     apply_channel,
@@ -41,6 +42,9 @@ class TestFspl:
             fspl(0.0, 1e9)
         with pytest.raises(ConfigError):
             fspl(1.0, -1.0)
+
+    def test_speed_of_light_is_scipy_value(self):
+        assert SPEED_OF_LIGHT == C
 
 
 class TestPatternGain:

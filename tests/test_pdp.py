@@ -47,6 +47,28 @@ def make_pdp(power_mw, step_s=1e-6, **fields):
     )
 
 
+class TestDelayAxisCheck:
+    @pytest.mark.parametrize("jitter, uniform", [(1e-11, True), (1e-7, False)])
+    def test_step_tolerance_is_relative_1e_9(self, jitter, uniform):
+        delay = np.arange(6) * 8e-9
+        delay[3] += jitter * 8e-9
+        assert np.allclose(np.diff(delay), 8e-9, rtol=1e-9, atol=1e-18) == uniform
+        if uniform:
+            PowerDelayProfile(power_mw=np.ones(6), excess_delay_s=delay)
+        else:
+            with pytest.raises(ConfigError, match="uniform"):
+                PowerDelayProfile(power_mw=np.ones(6), excess_delay_s=delay)
+
+    @pytest.mark.parametrize(
+        "delay",
+        [[0.0, 1e-6, 3e-6, 4e-6], [0.0, np.nan, 2e-6, 3e-6], [np.nan, 1e-6, 2e-6, 3e-6]],
+        ids=["non-uniform", "nan-inside", "nan-first"],
+    )
+    def test_bad_axis_rejected(self, delay):
+        with pytest.raises(ConfigError, match="uniform"):
+            PowerDelayProfile(power_mw=np.ones(4), excess_delay_s=np.array(delay))
+
+
 class TestPdpFromIq:
     def test_power_is_i2_plus_q2(self):
         pdp = pdp_from_iq(make_cir([1.0, 0.0], [0.0, 1.0]))

@@ -119,6 +119,21 @@ class TestLoadScenario:
         with pytest.raises(ConfigError, match=where):
             load_scenario(path)
 
+    @pytest.mark.parametrize(
+        "environment, where",
+        [
+            ("{wedges: [5]}", r"environment.wedges\[0\]: expected a mapping"),
+            ("{walls: [[1.0, 2.0]]}", r"environment.walls\[0\]: expected a mapping"),
+            ("{reflectors: 3}", r"environment.reflectors: expected a list"),
+        ],
+        ids=["wedge-int", "wall-list", "reflectors-scalar"],
+    )
+    def test_environment_entries_must_be_mappings(self, mini_path, tmp_path, environment, where):
+        path = tmp_path / "env.yaml"
+        path.write_text(mini_path.read_text().replace("environment: {}", f"environment: {environment}"))
+        with pytest.raises(ConfigError, match=where):
+            load_scenario(path)
+
     def test_defaults_applied(self, mini_path):
         sc = load_scenario(mini_path)
         assert sc.rx_pattern.boresight_gain_dbi == 20.0
@@ -316,6 +331,25 @@ class TestCli:
         assert cli_main([
             "campaign", "--scenario", str(scenario), "--kind", "route", "--out", str(tmp_path / "o"),
         ]) == 2
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("carrier_hz: 73.5e+9", "carrier_hz: abc"),
+            ("carrier_hz: 73.5e+9", "carrier_hz: -73.5e+9"),
+            ("position_m: [20.0, 0.0]", "position_m: [.nan, 0.0]"),
+        ],
+        ids=["carrier-not-a-number", "carrier-negative", "position-nan"],
+    )
+    def test_bad_scalar_exit_code(self, mini_path, tmp_path, old, new):
+        scenario = tmp_path / "bad.yaml"
+        text = mini_path.read_text()
+        assert old in text
+        scenario.write_text(text.replace(old, new))
+        assert cli_main([
+            "campaign", "--scenario", str(scenario), "--kind", "route", "--out", str(tmp_path / "o"),
+        ]) == 2
+        assert not (tmp_path / "o").exists()
 
     def test_sweep_rx_index_out_of_range_exit_code(self):
         assert cli_main(["sweep", "--scenario", "corner_route", "--rx-index", "99"]) == 2

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -108,6 +112,35 @@ class TestDesignLowpassTaps:
             design_lowpass_taps(0.0, 4e6)
         with pytest.raises(ConfigError):
             design_lowpass_taps(2e6, 4e6)
+
+    @pytest.mark.parametrize(
+        "cutoff, fs",
+        [(31250.0, 8e6), (125e3, 1e6), (1e6, 8e6), (31250.0, 125e3)],
+        ids=["desk-at-8MSps", "full-at-1MSps", "1MHz-at-8MSps", "desk-at-output-rate"],
+    )
+    def test_bit_identical_to_scipy_signal(self, cutoff, fs):
+        from scipy.signal import firwin, kaiserord
+
+        nyq = fs / 2.0
+        numtaps, beta = kaiserord(45.0, min(cutoff / 4.0, 2.0 * (nyq - cutoff) * 0.98) / nyq)
+        numtaps += (numtaps + 1) % 2
+        reference = firwin(numtaps, cutoff, window=("kaiser", beta), fs=fs)
+        assert np.array_equal(design_lowpass_taps(cutoff, fs), reference / reference.sum())
+
+    def test_scipy_signal_stays_off_the_import_path(self):
+        # A fresh interpreter: this test session has imported scipy.signal itself.
+        code = (
+            "import sys, corrsounder.cli\n"
+            "from corrsounder.waveform import design_lowpass_taps\n"
+            "design_lowpass_taps(31250.0, 8e6)\n"
+            "heavy = ('scipy.signal', 'scipy.constants', 'scipy.stats', 'scipy.interpolate')\n"
+            "print(sorted(m for m in heavy if m in sys.modules))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        ).stdout
+        assert out.strip() == "[]"
 
 
 class TestBinaryExport:
