@@ -64,7 +64,6 @@ from .scenario_io import (
     emit_plot_data,
     load_scenario,
     run_campaign,
-    save_scenario,
 )
 from .sweep import (
     ABSENT_POWER_DBM,

@@ -65,8 +65,8 @@ __all__ = [
 #: Compressed-domain output rate, in samples per dilated chip duration.
 COMPRESSED_SAMPLES_PER_CHIP = 16
 
-#: Block length of the local-code index build when the slow code has no
-#: grid-exact period; bounds its int64/float64 temporaries on long records.
+#: Block length of the literal mixer's local-code build; bounds its
+#: int64/float64 index temporaries on long records.
 _CHUNK = 1 << 22
 
 
@@ -317,11 +317,9 @@ def _reference_period(cfg: CorrelatorConfig, fs: float, pn: ChipSequence) -> np.
 
 
 def _reference_full(cfg: CorrelatorConfig, fs: float, pn: ChipSequence, d: int) -> np.ndarray:
-    """Local code waveform over the whole dilated record."""
-    period = _reference_period(cfg, fs, pn)
-    if period is not None:
-        reps = _integer(d / period.size, "code periods per dilated period")
-        return np.tile(period, reps)
+    """Local code waveform over the whole dilated record, built sample by
+    sample from floor(n f_rx / fs) mod L (independent of the polyphase plan's
+    one-period code)."""
     chips = pn.chips.astype(np.float64)
     ratio = cfg.rx_chip_rate / fs
     raw = np.empty(d)

@@ -15,19 +15,18 @@ import hashlib
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
 
 from . import __version__
-from .channel import AntennaPattern, Reflector, RxLocation, ScenarioConfig, Wall
+from .channel import AntennaPattern, Reflector, RxLocation, ScenarioConfig, Wall, fspl
 from .errors import AnalysisError, ConfigError
 from .correlator import get_preset
 from .pdp import write_pdp_csv
 from .sweep import (
     CiFit,
-    SweepSet,
     angular_spectrum,
     ci_fit,
     fading_rate,
@@ -42,7 +41,6 @@ __all__ = [
     "ResultBundle",
     "LocationResult",
     "load_scenario",
-    "save_scenario",
     "run_campaign",
     "emit_plot_data",
     "write_angular_csv",
@@ -123,7 +121,7 @@ def load_scenario(path) -> ScenarioConfig:
     """Parse and validate a scenario file, applying hardware defaults."""
     path = Path(path)
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = yaml.safe_load(path.read_bytes())
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: YAML parse error: {exc}") from exc
     if raw is None:
@@ -211,61 +209,6 @@ def load_scenario(path) -> ScenarioConfig:
     )
 
 
-def save_scenario(sc: ScenarioConfig, path) -> None:
-    """Write a scenario back out; load_scenario(save_scenario(sc)) == sc."""
-    doc = {
-        "name": sc.name,
-        "carrier_hz": sc.carrier_hz,
-        "noise": {
-            "psd_dbm_per_hz": sc.noise_psd_dbm_hz,
-            "noise_figure_db": sc.noise_figure_db,
-        },
-        "tx": {
-            "position_m": list(sc.tx_position_m),
-            "power_dbm": sc.tx_power_dbm,
-            "pointing_deg": {"az": sc.tx_pointing_deg[0], "el": sc.tx_pointing_deg[1]},
-            "pattern": {
-                "gain_dbi": sc.tx_pattern.boresight_gain_dbi,
-                "hpbw_az_deg": sc.tx_pattern.hpbw_az_deg,
-                "hpbw_el_deg": sc.tx_pattern.hpbw_el_deg,
-                "floor_db": sc.tx_pattern.floor_db,
-            },
-        },
-        "rx": {
-            "pattern": {
-                "gain_dbi": sc.rx_pattern.boresight_gain_dbi,
-                "hpbw_az_deg": sc.rx_pattern.hpbw_az_deg,
-                "hpbw_el_deg": sc.rx_pattern.hpbw_el_deg,
-                "floor_db": sc.rx_pattern.floor_db,
-            },
-            "elevation_deg": sc.rx_elevation_deg,
-            "locations": [
-                {
-                    "id": rx.ident,
-                    "position_m": list(rx.position_m),
-                    "label": rx.label,
-                    **({"group": rx.group} if rx.group else {}),
-                    **(
-                        {"tx_pointing_deg": {"az": rx.tx_pointing_deg[0], "el": rx.tx_pointing_deg[1]}}
-                        if rx.tx_pointing_deg is not None
-                        else {}
-                    ),
-                }
-                for rx in sc.rx_locations
-            ],
-        },
-        "environment": {
-            "walls": [{"start_m": list(w.start_m), "end_m": list(w.end_m)} for w in sc.walls],
-            "wedges": [{"position_m": list(w)} for w in sc.wedges],
-            "reflectors": [
-                {"start_m": list(r.start_m), "end_m": list(r.end_m), "loss_db": r.loss_db}
-                for r in sc.reflectors
-            ],
-        },
-    }
-    Path(path).write_text(yaml.safe_dump(doc, sort_keys=True))
-
-
 # ---------------------------------------------------------------------------
 # campaigns
 # ---------------------------------------------------------------------------
@@ -290,6 +233,8 @@ class CampaignSpec:
             raise ConfigError(f"campaign kind must be one of {_CAMPAIGN_KINDS}, got {self.kind!r}")
         if self.kind == "single" and self.rx_index is None:
             raise ConfigError("single campaigns need rx_index")
+        if not (math.isfinite(self.speed_mps) and self.speed_mps > 0.0):
+            raise ConfigError(f"speed_mps must be finite and positive, got {self.speed_mps}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,7 +248,6 @@ class LocationResult:
     omni_dbm: float | None
     path_loss_db: float | None
     spectrum: list[tuple[float, float]]
-    sweep_set: SweepSet = field(repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,13 +302,12 @@ def run_campaign(spec: CampaignSpec) -> ResultBundle:
     fading rate over the route and one CI fit plus power std per condition.
     cluster: received-power standard deviation per location group.
     single: sweep products for one receiver.
+    With ``save_pdps`` a location's thresholded PDPs are written as soon as
+    its sweep returns; only the reduced ``LocationResult`` is kept.
     """
     scenario_path = Path(spec.scenario_path)
     sc = load_scenario(scenario_path)
     preset = get_preset(spec.preset)
-    out_dir = Path(spec.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     if spec.kind == "single":
         indices = [spec.rx_index]
     else:
@@ -372,6 +315,12 @@ def run_campaign(spec: CampaignSpec) -> ResultBundle:
     for index in indices:
         if not 0 <= index < len(sc.rx_locations):
             raise ConfigError(f"rx_index {index} out of range for {len(sc.rx_locations)} locations")
+
+    out_dir = Path(spec.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    pdp_dir = out_dir / "pdps"
+    if spec.save_pdps:
+        pdp_dir.mkdir(exist_ok=True)
 
     route_pos = _route_positions(sc)
     locations: list[LocationResult] = []
@@ -390,6 +339,10 @@ def run_campaign(spec: CampaignSpec) -> ResultBundle:
         except Exception:
             log.error("location %s: sweep failed", rx.ident)
             raise
+        if spec.save_pdps:
+            for record in ss.records:
+                for s, pdp in enumerate(record.pdps):
+                    write_pdp_csv(pdp, pdp_dir / f"{rx.ident}_az{record.rx_azimuth_deg:05.1f}_s{s}.csv")
         omni = omni_power(ss)
         locations.append(
             LocationResult(
@@ -407,7 +360,6 @@ def run_campaign(spec: CampaignSpec) -> ResultBundle:
                     sc.rx_pattern.boresight_gain_dbi,
                 ),
                 spectrum=angular_spectrum(ss),
-                sweep_set=ss,
             )
         )
 
@@ -450,7 +402,7 @@ def run_campaign(spec: CampaignSpec) -> ResultBundle:
         manifest=_manifest(spec, scenario_path.read_bytes()),
         out_dir=out_dir,
     )
-    _write_bundle(bundle, spec)
+    _write_bundle(bundle)
     return bundle
 
 
@@ -464,7 +416,7 @@ def write_angular_csv(spectrum: list[tuple[float, float]], path) -> None:
             writer.writerow([f"{az:.6f}", f"{power:.6f}"])
 
 
-def _write_bundle(bundle: ResultBundle, spec: CampaignSpec) -> None:
+def _write_bundle(bundle: ResultBundle) -> None:
     out = bundle.out_dir
     (out / "manifest.json").write_text(json.dumps(bundle.manifest, sort_keys=True, indent=1) + "\n")
 
@@ -542,40 +494,24 @@ def _write_bundle(bundle: ResultBundle, spec: CampaignSpec) -> None:
             ]
         (out / "fits.txt").write_text("\n".join(lines))
 
-    if spec.save_pdps:
-        pdp_dir = out / "pdps"
-        pdp_dir.mkdir(exist_ok=True)
-        for loc in bundle.locations:
-            for record in loc.sweep_set.records:
-                for s, pdp in enumerate(record.pdps):
-                    name = f"{loc.ident}_az{record.rx_azimuth_deg:05.1f}_s{s}.csv"
-                    write_pdp_csv(pdp, pdp_dir / name)
-
 
 # ---------------------------------------------------------------------------
 # plot-ready exports
 # ---------------------------------------------------------------------------
 
 
-def _load_bundle_doc(bundle_or_dir) -> tuple[dict, Path]:
-    if isinstance(bundle_or_dir, ResultBundle):
-        path = bundle_or_dir.out_dir
-    else:
-        path = Path(bundle_or_dir)
-    doc_path = path / "bundle.json"
-    if not doc_path.exists():
-        raise AnalysisError(f"{path}: no bundle.json; run a campaign first")
-    return json.loads(doc_path.read_text()), path
-
-
-def emit_plot_data(bundle_or_dir, kind: str, out_dir=None) -> list[Path]:
-    """Write plot-ready CSVs from a campaign bundle.
+def emit_plot_data(bundle_dir, kind: str, out_dir=None) -> list[Path]:
+    """Write plot-ready CSVs from a campaign bundle directory.
 
     pathloss: per-location points plus each CI fit sampled at 50 log-spaced
     distances.  route: omni power versus position along the route.  The
     polar plot data is the bundle's ``angular/<id>.csv``.
     """
-    doc, bundle_dir = _load_bundle_doc(bundle_or_dir)
+    bundle_dir = Path(bundle_dir)
+    doc_path = bundle_dir / "bundle.json"
+    if not doc_path.exists():
+        raise AnalysisError(f"{bundle_dir}: no bundle.json; run a campaign first")
+    doc = json.loads(doc_path.read_text())
     out = Path(out_dir) if out_dir is not None else bundle_dir / "plots"
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -600,8 +536,6 @@ def emit_plot_data(bundle_or_dir, kind: str, out_dir=None) -> list[Path]:
                 )
             distances = [loc["distance_m"] for loc in doc["locations"] if loc["path_loss_db"] is not None]
             lo, hi = min(distances), max(distances)
-            from .channel import fspl  # local import to avoid a cycle at module load
-
             for label, fit in sorted(doc["fits"].items()):
                 anchor = fspl(fit["d0_m"], fit["frequency_hz"])
                 for n in range(50):

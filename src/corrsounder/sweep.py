@@ -76,9 +76,6 @@ class SweepSet:
 
     records: tuple[DirectionalRecord, ...]
     rx_ident: str
-    tx_pointing_deg: tuple[float, float]
-    rx_elevation_deg: float
-    step_deg: float
 
 
 def _angle_grid(step: float, start: float = 0.0) -> list[float]:
@@ -142,11 +139,12 @@ def run_sweep(
         raise ConfigError("sweeps must be >= 1")
     if averages < 1:
         raise ConfigError("averages must be >= 1")
+    if not 0.0 < step_deg <= 360.0:  # also false for NaN
+        raise ConfigError(f"azimuth step must be in (0, 360] degrees, got {step_deg}")
     channel = synthesize_channel(sc, rx_index)  # checks rx_index first
     rx_loc = sc.rx_locations[rx_index]
 
-    tx_az, tx_el = sc.tx_pointing_for(rx_loc)
-    tx_pattern = sc.tx_pattern.pointed(tx_az, tx_el)
+    tx_pattern = sc.tx_pattern.pointed(*sc.tx_pointing_for(rx_loc))
 
     start = 0.0
     if channel.paths:
@@ -178,13 +176,7 @@ def run_sweep(
             per_sweep.append(threshold_pdp(averaged))
         records.append(DirectionalRecord.from_pdps(azimuth, per_sweep))
 
-    return SweepSet(
-        records=tuple(records),
-        rx_ident=rx_loc.ident,
-        tx_pointing_deg=(tx_az, tx_el),
-        rx_elevation_deg=sc.rx_elevation_deg,
-        step_deg=step_deg,
-    )
+    return SweepSet(records=tuple(records), rx_ident=rx_loc.ident)
 
 
 def omni_power(ss: SweepSet) -> float | None:

@@ -13,7 +13,6 @@ from corrsounder.scenario_io import (
     emit_plot_data,
     load_scenario,
     run_campaign,
-    save_scenario,
 )
 from corrsounder.waveform import read_waveform
 
@@ -140,11 +139,11 @@ class TestLoadScenario:
         assert sc.tx_pattern.hpbw_az_deg == 7.0
         assert sc.noise_figure_db == 5.0
 
-    def test_round_trip(self, tmp_path):
-        sc = load_scenario(shipped_scenario_path("corner_clusters"))
-        out = tmp_path / "copy.yaml"
-        save_scenario(sc, out)
-        assert load_scenario(out) == sc
+    def test_invalid_utf8_rejected(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(b"name: x\n\xff\xfe bad\n")
+        with pytest.raises(ConfigError, match="YAML parse error"):
+            load_scenario(path)
 
 
 @pytest.fixture(scope="module")
@@ -262,7 +261,7 @@ class TestRunCampaign:
 class TestEmitPlotData:
     def test_pathloss_contains_fit_lines(self, mini_campaign):
         _, bundle = mini_campaign
-        (path,) = emit_plot_data(bundle, "pathloss")
+        (path,) = emit_plot_data(bundle.out_dir, "pathloss")
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         fit_rows = [row for row in rows if row["series"] == "fit-los"]
@@ -274,7 +273,7 @@ class TestEmitPlotData:
 
     def test_route_ordered_by_position(self, mini_campaign):
         _, bundle = mini_campaign
-        (path,) = emit_plot_data(bundle, "route")
+        (path,) = emit_plot_data(bundle.out_dir, "route")
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         positions = [float(row["position_m"]) for row in rows]
@@ -287,7 +286,7 @@ class TestEmitPlotData:
     def test_unknown_kind_rejected(self, mini_campaign):
         _, bundle = mini_campaign
         with pytest.raises(ConfigError):
-            emit_plot_data(bundle, "histogram")
+            emit_plot_data(bundle.out_dir, "histogram")
 
 
 class TestCli:
@@ -353,6 +352,35 @@ class TestCli:
 
     def test_sweep_rx_index_out_of_range_exit_code(self):
         assert cli_main(["sweep", "--scenario", "corner_route", "--rx-index", "99"]) == 2
+
+    @pytest.mark.parametrize("verb", ["sweep", "campaign"])
+    @pytest.mark.parametrize("step", ["0", "-90", "nan", "inf"])
+    def test_bad_step_exit_code(self, mini_path, tmp_path, verb, step):
+        args = [verb, "--scenario", str(mini_path), f"--step-deg={step}", "--sweeps", "1"]
+        if verb == "campaign":
+            args += ["--kind", "route", "--out", str(tmp_path / "o")]
+        assert cli_main(args) == 2
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--kind", "single", "--rx-index", "99"],
+            ["--kind", "route", "--speed", "nan"],
+            ["--kind", "route", "--speed=-35"],
+        ],
+        ids=["rx-index-out-of-range", "speed-nan", "speed-negative"],
+    )
+    def test_bad_campaign_input_exit_code(self, mini_path, tmp_path, extra):
+        assert cli_main(["campaign", "--scenario", str(mini_path), *extra, "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_invalid_utf8_scenario_exit_code(self, tmp_path):
+        scenario = tmp_path / "bad.yaml"
+        scenario.write_bytes(b"name: x\n\xff\xfe bad\n")
+        assert cli_main([
+            "campaign", "--scenario", str(scenario), "--kind", "route", "--out", str(tmp_path / "o"),
+        ]) == 2
+        assert not (tmp_path / "o").exists()
 
     def test_emit_error_exit_code(self, tmp_path):
         assert cli_main(["emit", "--bundle", str(tmp_path), "--kind", "route"]) == 4

@@ -40,15 +40,12 @@ from corrsounder.sweep import (
 )
 
 
-def sweep_set(best_powers: dict[float, float | None], step=15.0) -> SweepSet:
+def sweep_set(best_powers: dict[float, float | None]) -> SweepSet:
     records = tuple(
         DirectionalRecord(rx_azimuth_deg=az, pdps=(), best_power_dbm=power)
         for az, power in best_powers.items()
     )
-    return SweepSet(
-        records=records, rx_ident="T", tx_pointing_deg=(0.0, 0.0),
-        rx_elevation_deg=0.0, step_deg=step,
-    )
+    return SweepSet(records=records, rx_ident="T")
 
 
 class TestOmniPower:
@@ -270,6 +267,11 @@ class TestRunSweep:
     def test_invalid_step_rejected(self, desk):
         with pytest.raises(ConfigError):
             run_sweep(boresight_scenario(), 0, step_deg=50.0, sweeps=1, seed=0, preset=desk)
+
+    @pytest.mark.parametrize("step", [0.0, -90.0, math.nan, math.inf], ids=["zero", "negative", "nan", "inf"])
+    def test_step_outside_full_turn_rejected(self, desk, step):
+        with pytest.raises(ConfigError, match=r"azimuth step must be in \(0, 360\]"):
+            run_sweep(boresight_scenario(), 0, step_deg=step, sweeps=1, seed=0, preset=desk)
 
     def test_processing_gain_constant_available(self):
         assert processing_gain(128.0) == pytest.approx(21.07, abs=0.01)
