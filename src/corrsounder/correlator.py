@@ -14,6 +14,15 @@ periodic on the sample grid the mixer is an exact bank of cyclic
 convolutions over that period (a polyphase kernel), otherwise it falls back
 to a folded cyclic correlation shaped by an equivalent low-pass kernel.
 
+The polyphase kernel computes only the samples the decimator keeps.  Each
+code phase is read on one coset of a subgroup of the period (every g-th
+sample, g = 8 on desk), and sampling a cyclic convolution every g-th sample
+aliases its spectrum: the g bins k, k + P1/g, ..., spaced P1/g apart, add
+up, each weighted by the coset's phase ramp.  In time that is a sum over
+the input's g polyphase branches of P1/g-point cyclic convolutions, so the
+kernel runs FFTs of that length only (127 on desk, not 1,016).  The
+aliasing is exact, not an approximation.
+
 Mixer self-noise: the product of the two code waveforms contains, besides
 the slipping correlation (line pairs j, -j of the two code-harmonic combs),
 cross pairs (j, i) landing at output frequency gamma*j + (gamma-1)*i in
@@ -39,7 +48,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
 
 from .errors import ConfigError, SimulationError
 from .pn import ChipSequence, LfsrSpec, generate_msequence, preset
@@ -292,7 +300,7 @@ def _zero_phase_spectrum(taps: np.ndarray, n: int) -> np.ndarray:
     kernel = np.zeros(n)
     kernel[: taps.size] = taps
     kernel = np.roll(kernel, -((taps.size - 1) // 2))
-    return sfft.fft(kernel)
+    return np.fft.fft(kernel)
 
 
 @functools.lru_cache(maxsize=16)
@@ -366,9 +374,9 @@ def correlate_literal(
             f"record of {len(rx_wave)} samples shorter than one dilated period ({d})"
         )
 
-    spectrum = sfft.fft(rx_wave.samples[:d] * _reference_full(cfg, fs, pn, d))
+    spectrum = np.fft.fft(rx_wave.samples[:d] * _reference_full(cfg, fs, pn, d))
     spectrum *= _lpf_spectrum(cfg, fs, d)
-    filtered = sfft.ifft(spectrum)
+    filtered = np.fft.ifft(spectrum)
     return _make_cir(filtered[::step], cfg)
 
 
@@ -388,7 +396,7 @@ def _fold(rx_wave: SampledWaveform, p: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def _polyphase_plan(cfg: CorrelatorConfig, fs: float, pn: ChipSequence):
-    """Kernel spectra and output gather of the mixer over one code period.
+    """Folded kernel spectra and output gather of the mixer over one period.
 
     With the received signal x periodic in P1 samples and the local code c
     periodic in P2, output sample q of the literal mixer is
@@ -398,9 +406,23 @@ def _polyphase_plan(cfg: CorrelatorConfig, fs: float, pn: ChipSequence):
 
     where (*) is cyclic convolution over P1, h the zero-phase low-pass and
     R = P2 / gcd(P2, step) the number of distinct code phases the decimation
-    grid visits.  Returns None when the slow code has no grid-exact period.
-    Depends only on the config, rate and code, so it is cached (do not
-    mutate the arrays).
+    grid visits.  Phase r is read only at o_r + g m, with
+    g = gcd(R * step, P1), o_r = r * step mod g and m < M = P1 / g.  Those
+    samples are an M-point cyclic convolution summed over the g polyphase
+    branches x_a[b] = x[a + g b] of the input:
+
+        y_r[o_r + g m] = sum over a < g of (H_{r,a} (*)_M x_a)[m],
+        H_{r,a}[c] = G_r[(o_r - a + g c) mod P1].
+
+    In the frequency domain this is aliasing: taking every g-th sample of a
+    P1-point convolution adds its g spectral bins spaced M apart, each
+    weighted by the coset's phase ramp, onto M bins.  The plan stores the
+    M-point spectra of H as (R, g, M), so a call needs g forward FFTs of
+    length M (one per input branch), a multiply-accumulate over the
+    branches, R inverse FFTs of length M and one flat gather; it computes
+    R * M bins, each of them kept.  Returns None when the slow code has no
+    grid-exact period.  Depends only on the config, rate and code, so it is
+    cached (do not mutate the arrays).
     """
     code = _reference_period(cfg, fs, pn)
     if code is None:
@@ -410,6 +432,8 @@ def _polyphase_plan(cfg: CorrelatorConfig, fs: float, pn: ChipSequence):
     p1 = cfg.code_length * _integer(fs / cfg.tx_chip_rate, "samples per tx chip")
     p2 = code.size
     phases = p2 // math.gcd(p2, step)
+    g = math.gcd(phases * step, p1)
+    m = p1 // g
     taps = design_lowpass_taps(cfg.lpf_cutoff, fs)
     if taps.size > d:
         raise SimulationError("record shorter than the filter kernel")
@@ -417,39 +441,42 @@ def _polyphase_plan(cfg: CorrelatorConfig, fs: float, pn: ChipSequence):
     weights = taps * code[(np.arange(phases)[:, None] * step - lags) % p2]
     bins = np.arange(phases)[:, None] * p1 + lags % p1
     kernels = np.bincount(bins.ravel(), weights=weights.ravel(), minlength=phases * p1)
+    offsets = np.arange(phases) * step % g
+    # H[r, a, c] = G_r[(o_r - a + g c) mod P1], as indices into the flat kernels
+    branch = (offsets[:, None, None] - np.arange(g)[:, None] + g * np.arange(m)) % p1
+    branch += np.arange(phases)[:, None, None] * p1
     q = np.arange(d // step)
-    return sfft.fft(kernels.reshape(phases, p1), axis=1), q % phases, q * step % p1
+    r = q % phases
+    gather = r * m + (q * step % p1 - offsets[r]) // g
+    return np.fft.fft(kernels[branch], axis=2), gather
 
 
-def _folded_template_correlation(
-    folded: np.ndarray, cfg: CorrelatorConfig, fs: float, pn: ChipSequence
-) -> np.ndarray:
-    """Cyclic correlation against the transmit template, mixer-shaped.
+@functools.lru_cache(maxsize=16)
+def _template_response(cfg: CorrelatorConfig, fs: float, pn: ChipSequence) -> np.ndarray:
+    """Spectrum of the template branch on the compressed grid (do not mutate).
 
-    Used when the slow code has no grid-exact period.  The lag profile is
-    interpolated onto the compressed grid through a low-pass of the same
-    family and cutoff as the literal path (designed at the compressed output
-    rate) plus a box average one simulation sample wide, which emulates the
-    mixer's chip-edge quantisation.
+    Cyclic correlation against the transmit template, interpolated onto the
+    compressed grid through a low-pass of the same family and cutoff as the
+    literal path (designed at the compressed output rate) plus a box average
+    one simulation sample wide, which emulates the mixer's chip-edge
+    quantisation.  It multiplies the folded period's spectrum tiled onto the
+    compressed grid; depends only on the config, rate and code, so it is
+    cached.
     """
-    p = folded.size
     spc = _integer(fs / cfg.tx_chip_rate, "samples per tx chip")
-    template = np.repeat(pn.chips.astype(np.float64), spc)
-    corr = sfft.ifft(sfft.fft(folded) * np.conj(sfft.fft(template))) / p
-
+    p = cfg.code_length * spc
     m = COMPRESSED_SAMPLES_PER_CHIP * cfg.code_length
     up = _integer(m / p, "lag-axis upsampling ratio")
-    out_rate = cfg.compressed_sample_rate
-    taps_c = design_lowpass_taps(cfg.lpf_cutoff, out_rate)
-    shaped = np.tile(sfft.fft(corr), up) * _zero_phase_spectrum(taps_c, m)
-    # same low-pass family as the literal path, designed at the output rate
+    template = np.repeat(pn.chips.astype(np.float64), spc)
+    taps_c = design_lowpass_taps(cfg.lpf_cutoff, cfg.compressed_sample_rate)
+    response = np.tile(np.conj(np.fft.fft(template)), up) * _zero_phase_spectrum(taps_c, m)
     if up > 1:
         # chip-edge jitter of the unfiltered slow code: one sample at fs,
         # i.e. `up` bins on the compressed grid
         box = np.zeros(m)
         box[:up] = 1.0 / up
-        shaped *= sfft.fft(np.roll(box, -(up // 2)))
-    return up * sfft.ifft(shaped)
+        response *= np.fft.fft(np.roll(box, -(up // 2)))
+    return response * (up / p)
 
 
 def correlate_fast(
@@ -472,10 +499,13 @@ def correlate_fast(
 
     plan = _polyphase_plan(cfg, fs, pn)
     if plan is None:
-        compressed = _folded_template_correlation(folded, cfg, fs, pn)
+        response = _template_response(cfg, fs, pn)
+        compressed = np.fft.ifft(np.tile(np.fft.fft(folded), response.size // folded.size) * response)
     else:
-        spectra, rows, cols = plan
-        compressed = sfft.ifft(spectra * sfft.fft(folded), axis=1)[rows, cols]
+        spectra, gather = plan
+        g, m = spectra.shape[1:]
+        branches = np.fft.fft(folded.reshape(m, g).T, axis=1)
+        compressed = np.fft.ifft((spectra * branches).sum(axis=1), axis=1).ravel()[gather]
     return _make_cir(compressed, cfg)
 
 

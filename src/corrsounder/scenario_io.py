@@ -28,6 +28,7 @@ from .pdp import write_pdp_csv
 from .sweep import (
     CiFit,
     angular_spectrum,
+    check_sweep_options,
     ci_fit,
     fading_rate,
     local_power_std,
@@ -235,6 +236,7 @@ class CampaignSpec:
             raise ConfigError("single campaigns need rx_index")
         if not (math.isfinite(self.speed_mps) and self.speed_mps > 0.0):
             raise ConfigError(f"speed_mps must be finite and positive, got {self.speed_mps}")
+        check_sweep_options(self.step_deg, self.sweeps, self.averages)
 
 
 @dataclass(frozen=True, eq=False)

@@ -33,6 +33,7 @@ __all__ = [
     "CiFit",
     "LinkBudget",
     "ABSENT_POWER_DBM",
+    "check_sweep_options",
     "probe_waveform",
     "receive",
     "run_sweep",
@@ -78,11 +79,23 @@ class SweepSet:
     rx_ident: str
 
 
+def check_sweep_options(step_deg: float, sweeps: int, averages: int) -> None:
+    """Reject sweep options no sweep can run with, as ``ConfigError``: the
+    azimuth step must lie in (0, 360] and divide the full turn, and there
+    must be at least one sweep and one capture per average."""
+    if sweeps < 1:
+        raise ConfigError("sweeps must be >= 1")
+    if averages < 1:
+        raise ConfigError("averages must be >= 1")
+    if not 0.0 < step_deg <= 360.0:  # also false for NaN
+        raise ConfigError(f"azimuth step must be in (0, 360] degrees, got {step_deg}")
+    spokes = 360.0 / step_deg
+    if not (math.isfinite(spokes) and abs(spokes - round(spokes)) <= 1e-9):
+        raise ConfigError(f"azimuth step {step_deg} must divide 360 degrees")
+
+
 def _angle_grid(step: float, start: float = 0.0) -> list[float]:
-    spokes = 360.0 / step
-    if abs(spokes - round(spokes)) > 1e-9:
-        raise ConfigError(f"azimuth step {step} must divide 360 degrees")
-    return [(start + k * step) % 360.0 for k in range(int(round(spokes)))]
+    return [(start + k * step) % 360.0 for k in range(round(360.0 / step))]
 
 
 def probe_waveform(
@@ -135,12 +148,7 @@ def run_sweep(
     non-coherently and thresholds the result.  Angles whose thresholded PDP
     keeps no sample are recorded as signal-absent.
     """
-    if sweeps < 1:
-        raise ConfigError("sweeps must be >= 1")
-    if averages < 1:
-        raise ConfigError("averages must be >= 1")
-    if not 0.0 < step_deg <= 360.0:  # also false for NaN
-        raise ConfigError(f"azimuth step must be in (0, 360] degrees, got {step_deg}")
+    check_sweep_options(step_deg, sweeps, averages)
     channel = synthesize_channel(sc, rx_index)  # checks rx_index first
     rx_loc = sc.rx_locations[rx_index]
 

@@ -18,7 +18,6 @@ import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import i0
 
 from .errors import ConfigError, SimulationError
 from .pn import ChipSequence
@@ -115,6 +114,45 @@ def shift_trigger(
     return replace(w, trigger_index=int(new_index))
 
 
+#: Cephes' Chebyshev coefficients of exp(-x) I0(x) on [0, 8] (``i0.c``,
+#: table A), in Cephes' order.
+_I0_CHEBYSHEV = (
+    -4.41534164647933937950e-18, 3.33079451882223809783e-17,
+    -2.43127984654795469359e-16, 1.71539128555513303061e-15,
+    -1.16853328779934516808e-14, 7.67618549860493561688e-14,
+    -4.85644678311192946090e-13, 2.95505266312963983461e-12,
+    -1.72682629144155570723e-11, 9.67580903537323691224e-11,
+    -5.18979560163526290666e-10, 2.65982372468238665035e-09,
+    -1.30002500998624804212e-08, 6.04699502254191894932e-08,
+    -2.67079385394061173391e-07, 1.11738753912010371815e-06,
+    -4.41673835845875056359e-06, 1.64484480707288970893e-05,
+    -5.75419501008210370398e-05, 1.88502885095841655729e-04,
+    -5.76375574538582365885e-04, 1.63947561694133579842e-03,
+    -4.32430999505057594430e-03, 1.05464603945949983183e-02,
+    -2.37374148058994688156e-02, 4.93052842396707084878e-02,
+    -9.49010970480476444210e-02, 1.71620901522208775349e-01,
+    -3.04682672343198398683e-01, 6.76795274409476084995e-01,
+)
+
+
+def _kaiser_i0(x: np.ndarray) -> np.ndarray:
+    """Modified Bessel function I0 on [0, 8], the Kaiser window's range.
+
+    Cephes' ``i0`` step for step: the Clenshaw recurrence over its 30
+    Chebyshev coefficients at x/2 - 2, times exp(x).  The exponential is
+    ``math.exp`` (the C library's, as Cephes calls it), because numpy's
+    vectorised ``np.exp`` may differ from it in the last bit.  So the result
+    equals ``scipy.special.i0`` bit for bit; ``np.i0`` does not.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = x / 2.0 - 2.0
+    b0, b1 = _I0_CHEBYSHEV[0], 0.0
+    for coef in _I0_CHEBYSHEV[1:]:
+        b0, b1, b2 = y * b0 - b1 + coef, b0, b1
+    exp_x = np.fromiter(map(math.exp, x.ravel().tolist()), np.float64, x.size)
+    return exp_x.reshape(x.shape) * (0.5 * (b0 - b2))
+
+
 def design_lowpass_taps(cutoff: float, sample_rate: float) -> np.ndarray:
     """Kaiser windowed-sinc lowpass, odd tap count, unity DC gain.
 
@@ -128,7 +166,7 @@ def design_lowpass_taps(cutoff: float, sample_rate: float) -> np.ndarray:
     Kaiser's empirical order and beta formulas (Oppenheim & Schafer,
     pp. 475-476) for 45 dB, written out in the same operation order as
     ``scipy.signal.kaiserord``/``firwin`` so the taps are bit-identical to
-    theirs without importing ``scipy.signal``.
+    theirs without importing scipy; the window's I0 is :func:`_kaiser_i0`.
     """
     nyq = sample_rate / 2.0
     if not 0.0 < cutoff < nyq:
@@ -140,7 +178,7 @@ def design_lowpass_taps(cutoff: float, sample_rate: float) -> np.ndarray:
     numtaps += (numtaps + 1) % 2  # odd length -> integer group delay
     alpha = 0.5 * (numtaps - 1)
     n = np.arange(0, numtaps, dtype=np.float64)
-    window = i0(beta * np.sqrt(1 - ((n - alpha) / alpha) ** 2.0)) / i0(beta)
+    window = _kaiser_i0(beta * np.sqrt(1 - ((n - alpha) / alpha) ** 2.0)) / _kaiser_i0(beta)
     band = cutoff / nyq
     taps = band * np.sinc(band * (n - alpha)) * window
     # Two passes, as firwin's own unity-DC scaling followed by ours: a single

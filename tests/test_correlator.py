@@ -159,11 +159,17 @@ class TestFastEquivalent:
     )
     def test_exact_match_on_other_grid_periodic_configs(self, order, gamma, spc, phases):
         # the polyphase kernel on configs other than desk: its phase count
-        # R = P2 / gcd(P2, step) and the 1e-10 bound against the oracle
+        # R = P2 / gcd(P2, step), that it computes only the d // step kept
+        # bins, and the 1e-10 bound against the oracle
         chips = generate_msequence(preset(order))
         cfg = CorrelatorConfig(1e6, 1e6 * (gamma - 1) / gamma, len(chips))
         wave = upsample_chips(chips, cfg.tx_chip_rate, spc, gamma)
-        assert _polyphase_plan(cfg, wave.sample_rate, chips)[0].shape == (phases, len(chips) * spc)
+        spectra, gather = _polyphase_plan(cfg, wave.sample_rate, chips)
+        kept = len(chips) * COMPRESSED_SAMPLES_PER_CHIP  # d // step
+        assert spectra.shape[0] == phases
+        assert spectra.shape[1] * spectra.shape[2] == len(chips) * spc
+        assert spectra.shape[0] * spectra.shape[2] == kept
+        assert np.array_equal(np.sort(gather), np.arange(kept))
         rng = np.random.default_rng(order)
         s = np.zeros_like(wave.samples)
         for _ in range(3):

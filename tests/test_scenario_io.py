@@ -374,6 +374,17 @@ class TestCli:
         assert cli_main(["campaign", "--scenario", str(mini_path), *extra, "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "option",
+        [["--step-deg=0"], ["--step-deg=50"], ["--step-deg=nan"], ["--sweeps", "0"], ["--averages", "0"]],
+        ids=["step-zero", "step-not-dividing-360", "step-nan", "sweeps-zero", "averages-zero"],
+    )
+    def test_bad_sweep_option_leaves_no_output_dir(self, mini_path, tmp_path, option):
+        out = tmp_path / "o"
+        args = ["campaign", "--scenario", str(mini_path), "--kind", "route", *option, "--out", str(out)]
+        assert cli_main(args) == 2
+        assert not out.exists()
+
     def test_invalid_utf8_scenario_exit_code(self, tmp_path):
         scenario = tmp_path / "bad.yaml"
         scenario.write_bytes(b"name: x\n\xff\xfe bad\n")

@@ -26,6 +26,7 @@ from corrsounder.sweep import (
     SweepSet,
     angular_spectrum,
     averaging_gain_db,
+    check_sweep_options,
     ci_fit,
     eirp,
     fading_rate,
@@ -265,8 +266,13 @@ class TestRunSweep:
         assert max(a, key=lambda t: t[1])[0] == max(b, key=lambda t: t[1])[0]
 
     def test_invalid_step_rejected(self, desk):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="must divide 360"):
             run_sweep(boresight_scenario(), 0, step_deg=50.0, sweeps=1, seed=0, preset=desk)
+
+    def test_subnormal_step_rejected(self):
+        # 360 / 5e-324 overflows to infinity
+        with pytest.raises(ConfigError, match="must divide 360"):
+            check_sweep_options(5e-324, sweeps=1, averages=1)
 
     @pytest.mark.parametrize("step", [0.0, -90.0, math.nan, math.inf], ids=["zero", "negative", "nan", "inf"])
     def test_step_outside_full_turn_rejected(self, desk, step):

@@ -8,6 +8,7 @@ import pytest
 from corrsounder.errors import ConfigError
 from corrsounder.pn import generate_msequence, preset
 from corrsounder.waveform import (
+    _kaiser_i0,
     design_lowpass_taps,
     read_waveform,
     shift_trigger,
@@ -115,8 +116,8 @@ class TestDesignLowpassTaps:
 
     @pytest.mark.parametrize(
         "cutoff, fs",
-        [(31250.0, 8e6), (125e3, 1e6), (1e6, 8e6), (31250.0, 125e3)],
-        ids=["desk-at-8MSps", "full-at-1MSps", "1MHz-at-8MSps", "desk-at-output-rate"],
+        [(31250.0, 8e6), (125e3, 2e9), (125e3, 1e6), (1e6, 8e6), (31250.0, 125e3)],
+        ids=["desk-at-8MSps", "full-at-2GSps", "full-at-1MSps", "1MHz-at-8MSps", "desk-at-output-rate"],
     )
     def test_bit_identical_to_scipy_signal(self, cutoff, fs):
         from scipy.signal import firwin, kaiserord
@@ -127,20 +128,39 @@ class TestDesignLowpassTaps:
         reference = firwin(numtaps, cutoff, window=("kaiser", beta), fs=fs)
         assert np.array_equal(design_lowpass_taps(cutoff, fs), reference / reference.sum())
 
-    def test_scipy_signal_stays_off_the_import_path(self):
-        # A fresh interpreter: this test session has imported scipy.signal itself.
+    def test_kaiser_i0_bit_identical_to_scipy_special(self):
+        from scipy.special import i0
+
+        beta = 0.5842 * (45.0 - 21) ** 0.4 + 0.07886 * (45.0 - 21)
+        x = np.linspace(0.0, beta, 100_001)
+        assert np.array_equal(_kaiser_i0(x), i0(x))
+        assert _kaiser_i0(beta) == i0(beta)
+
+
+class TestRuntimeWithoutScipy:
+    def test_no_scipy_module_loaded(self):
+        # A fresh interpreter in which every scipy import fails: the CLI, a
+        # desk sweep and the full preset's correlator must run on numpy alone.
         code = (
-            "import sys, corrsounder.cli\n"
-            "from corrsounder.waveform import design_lowpass_taps\n"
-            "design_lowpass_taps(31250.0, 8e6)\n"
-            "heavy = ('scipy.signal', 'scipy.constants', 'scipy.stats', 'scipy.interpolate')\n"
-            "print(sorted(m for m in heavy if m in sys.modules))\n"
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import corrsounder.cli\n"
+            "from corrsounder.cli import shipped_scenario_path\n"
+            "from corrsounder.correlator import correlate_fast, desk_preset, full_preset\n"
+            "from corrsounder.scenario_io import load_scenario\n"
+            "from corrsounder.sweep import run_sweep\n"
+            "sc = load_scenario(shipped_scenario_path('corner_route'))\n"
+            "ss = run_sweep(sc, 0, step_deg=90.0, sweeps=1, seed=0, preset=desk_preset())\n"
+            "full = full_preset()\n"
+            "cir = correlate_fast(full.transmit_waveform(periods=1), full.config, full.chip_sequence())\n"
+            "print(len(ss.records), len(cir))\n"
+            "print(sorted(m for m, mod in sys.modules.items() if m.split('.')[0] == 'scipy' and mod is not None))\n"
         )
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120,
             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
         ).stdout
-        assert out.strip() == "[]"
+        assert out.split("\n")[:2] == ["4 32752", "[]"]
 
 
 class TestBinaryExport:
