@@ -136,6 +136,20 @@ class TestDesignLowpassTaps:
         assert np.array_equal(_kaiser_i0(x), i0(x))
         assert _kaiser_i0(beta) == i0(beta)
 
+    def test_scipy_signal_stays_off_the_import_path(self):
+        # A fresh interpreter: this test session has imported scipy.signal itself.
+        code = (
+            "import sys, corrsounder.cli\n"
+            "from corrsounder.waveform import design_lowpass_taps\n"
+            "design_lowpass_taps(31250.0, 8e6)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        ).stdout
+        assert out.strip() == "[]"
+
 
 class TestRuntimeWithoutScipy:
     def test_no_scipy_module_loaded(self):
