@@ -73,6 +73,9 @@ __all__ = [
 #: Compressed-domain output rate, in samples per dilated chip duration.
 COMPRESSED_SAMPLES_PER_CHIP = 16
 
+#: Rows per ``write`` call of the CSV exports.
+CSV_BLOCK_ROWS = 2048
+
 #: Block length of the literal mixer's local-code build; bounds its
 #: int64/float64 index temporaries on long records.
 _CHUNK = 1 << 22
@@ -509,6 +512,36 @@ def correlate_fast(
     return _make_cir(compressed, cfg)
 
 
+def _g10(values: list[float]) -> list[str]:
+    return [f"{v:.10g}" for v in values]
+
+
+@functools.lru_cache(maxsize=4)
+def _axis_column(axis: bytes, scale: float) -> tuple[str, ...]:
+    return tuple(_g10((np.frombuffer(axis) * scale).tolist()))
+
+
+def write_csv_rows(fh, axis: np.ndarray, scale: float, columns) -> None:
+    """Write the rows ``axis * scale, *values`` ('.10g'), one write per block.
+
+    ``columns`` holds (values, format) pairs; ``format`` maps a list of
+    floats to their cells.  Each block of at most ``CSV_BLOCK_ROWS`` rows is
+    formatted from Python floats and written at once, so the text held in
+    memory stays bounded.  An axis that fits in one block is formatted once
+    and reused (every PDP of a preset shares its delay axis).
+    """
+    axis = np.asarray(axis, dtype=np.float64)  # the cache key is its bytes
+    n = len(axis)
+    for start in range(0, n, CSV_BLOCK_ROWS):
+        block = slice(start, start + CSV_BLOCK_ROWS)
+        if n <= CSV_BLOCK_ROWS:
+            first = _axis_column(axis.tobytes(), scale)
+        else:
+            first = _g10((axis[block] * scale).tolist())
+        cells = [fmt(values[block].tolist()) for values, fmt in columns]
+        fh.write("\n".join(map(",".join, zip(first, *cells))) + "\n")
+
+
 def write_cir_csv(cir: DilatedCir, path, cfg: CorrelatorConfig | None = None) -> None:
     """CSV export: '#'-prefixed metadata rows, then compressed_time_s,i,q."""
     with open(path, "w", newline="") as fh:
@@ -522,5 +555,6 @@ def write_cir_csv(cir: DilatedCir, path, cfg: CorrelatorConfig | None = None) ->
             fh.write(f"# code_length={cfg.code_length}\n")
             fh.write(f"# lpf_cutoff_hz={cfg.lpf_cutoff:.10g}\n")
         fh.write("compressed_time_s,i,q\n")
-        for t, i, q in zip(cir.compressed_time, cir.i_channel, cir.q_channel):
-            fh.write(f"{t:.10g},{i:.10g},{q:.10g}\n")
+        write_csv_rows(
+            fh, cir.compressed_time, 1.0, ((cir.i_channel, _g10), (cir.q_channel, _g10))
+        )

@@ -25,6 +25,7 @@ from .correlator import (
     DilatedCir,
     SounderPreset,
     correlate_fast,
+    write_csv_rows,
 )
 from .errors import AnalysisError, ConfigError
 
@@ -34,6 +35,7 @@ __all__ = [
     "pdp_from_iq",
     "average_pdps",
     "estimate_noise_floor",
+    "noise_window_start",
     "threshold_pdp",
     "apply_drift",
     "align_acquisitions",
@@ -135,6 +137,24 @@ def average_pdps(pdps: list[PowerDelayProfile]) -> PowerDelayProfile:
     return replace(first, power_mw=mean, metadata=meta)
 
 
+def noise_window_start(bins: int) -> int:
+    """First bin of the trailing tenth of a ``bins``-long delay axis, the
+    window :func:`estimate_noise_floor` reads."""
+    return bins - bins // 10
+
+
+def _median(values: np.ndarray) -> float:
+    # np.median's result bit for bit (the mean of the two middle values for
+    # an even length, NaN if any value is NaN) without importing numpy.ma
+    mid = values.size // 2
+    part = np.partition(values, [mid - 1, mid, -1])
+    if np.isnan(part[-1]):
+        return math.nan
+    if values.size % 2:
+        return float(part[mid])
+    return float((part[mid - 1] + part[mid]) / 2.0)
+
+
 def estimate_noise_floor(pdp: PowerDelayProfile) -> float:
     """Median power over the trailing 10% of the delay axis, in dBm.
 
@@ -144,8 +164,7 @@ def estimate_noise_floor(pdp: PowerDelayProfile) -> float:
     """
     if len(pdp) < 100:
         raise AnalysisError(f"need >= 100 samples to estimate a noise floor, got {len(pdp)}")
-    tail = pdp.power_mw[-(len(pdp) // 10) :]
-    return _dbm(float(np.median(tail)))
+    return _dbm(_median(pdp.power_mw[noise_window_start(len(pdp)) :]))
 
 
 def threshold_pdp(pdp: PowerDelayProfile) -> PowerDelayProfile:
@@ -263,6 +282,11 @@ def align_acquisitions(pdps: list[PowerDelayProfile]) -> list[PowerDelayProfile]
     return out
 
 
+def _dbm_cells(powers: list[float]) -> list[str]:
+    # _dbm's test, so a NaN bin still prints 'nan'; zeroed bins skip log10
+    return ["-inf" if p <= 0.0 else f"{10.0 * math.log10(p):.10g}" for p in powers]
+
+
 def write_pdp_csv(pdp: PowerDelayProfile, path) -> None:
     """CSV export: '#'-prefixed metadata rows, then excess_delay_ns,power_dBm."""
 
@@ -277,5 +301,4 @@ def write_pdp_csv(pdp: PowerDelayProfile, path) -> None:
             if key in pdp.metadata:
                 fh.write(f"# {key}={pdp.metadata[key]}\n")
         fh.write("excess_delay_ns,power_dBm\n")
-        for delay, power in zip(pdp.excess_delay_s, pdp.power_mw):
-            fh.write(f"{delay * 1e9:.10g},{_dbm(power):.10g}\n")
+        write_csv_rows(fh, pdp.excess_delay_s, 1e9, ((pdp.power_mw, _dbm_cells),))

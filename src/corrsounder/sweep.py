@@ -16,11 +16,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import AntennaPattern, MultipathChannel, ScenarioConfig, apply_channel, fspl, synthesize_channel
-from .correlator import SounderPreset, correlate_fast, processing_gain, slide_factor
-from .errors import AnalysisError, ConfigError
+from .correlator import (
+    COMPRESSED_SAMPLES_PER_CHIP,
+    SounderPreset,
+    correlate_fast,
+    processing_gain,
+    slide_factor,
+)
+from .errors import AnalysisError, ConfigError, SimulationError
 from .pdp import (
     PowerDelayProfile,
     average_pdps,
+    noise_window_start,
     pdp_from_iq,
     system_pulse_energy_bins,
     threshold_pdp,
@@ -33,6 +40,7 @@ __all__ = [
     "CiFit",
     "LinkBudget",
     "ABSENT_POWER_DBM",
+    "MAX_AZIMUTH_SPOKES",
     "check_sweep_options",
     "probe_waveform",
     "receive",
@@ -51,6 +59,10 @@ __all__ = [
 
 #: Sentinel emitted for sweep angles with no detectable signal.
 ABSENT_POWER_DBM = -250.0
+
+#: Most azimuth spokes a sweep may have: a step finer than 0.1 degree is
+#: rejected rather than scheduling millions of acquisitions per location.
+MAX_AZIMUTH_SPOKES = 3600
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,8 +93,9 @@ class SweepSet:
 
 def check_sweep_options(step_deg: float, sweeps: int, averages: int) -> None:
     """Reject sweep options no sweep can run with, as ``ConfigError``: the
-    azimuth step must lie in (0, 360] and divide the full turn, and there
-    must be at least one sweep and one capture per average."""
+    azimuth step must lie in (0, 360], divide the full turn into at most
+    ``MAX_AZIMUTH_SPOKES`` spokes, and there must be at least one sweep and
+    one capture per average."""
     if sweeps < 1:
         raise ConfigError("sweeps must be >= 1")
     if averages < 1:
@@ -92,6 +105,11 @@ def check_sweep_options(step_deg: float, sweeps: int, averages: int) -> None:
     spokes = 360.0 / step_deg
     if not (math.isfinite(spokes) and abs(spokes - round(spokes)) <= 1e-9):
         raise ConfigError(f"azimuth step {step_deg} must divide 360 degrees")
+    if round(spokes) > MAX_AZIMUTH_SPOKES:
+        raise ConfigError(
+            f"azimuth step {step_deg} gives {round(spokes)} spokes, more than "
+            f"{MAX_AZIMUTH_SPOKES} (a step finer than 0.1 degree)"
+        )
 
 
 def _angle_grid(step: float, start: float = 0.0) -> list[float]:
@@ -123,8 +141,23 @@ def receive(
     folded onto it: averaging ``folds`` copies of white noise divides its
     variance by ``folds``, so the noise PSD is lowered by 10 log10(folds).
     The whole dilated record (``folds`` = 1) gets the PSD unchanged.
+
+    A path whose delay plus one chip reaches the trailing tenth of the delay
+    axis, where :func:`~corrsounder.pdp.estimate_noise_floor` reads the
+    floor, is a ``SimulationError``: its pulse would silently raise the floor.
     """
-    folds = round(slide_factor(preset.config)) * wave.period_samples / len(wave)
+    cfg = preset.config
+    chip_s = 1.0 / cfg.tx_chip_rate
+    bins = cfg.code_length * COMPRESSED_SAMPLES_PER_CHIP
+    window_s = noise_window_start(bins) * chip_s / COMPRESSED_SAMPLES_PER_CHIP
+    for p in channel.paths:
+        if p.delay_s + chip_s >= window_s:
+            raise SimulationError(
+                f"{p.kind} path at {p.delay_s * 1e9:.1f} ns (plus one chip, {chip_s * 1e9:g} ns) "
+                f"reaches the noise-floor window, which starts at {window_s * 1e9:.1f} ns "
+                f"on the {preset.name} preset"
+            )
+    folds = round(slide_factor(cfg)) * wave.period_samples / len(wave)
     psd = noise_psd_dbm_hz - 10.0 * math.log10(folds)
     return apply_channel(wave, channel, tx_pattern, rx_pattern, psd, rng)
 

@@ -149,6 +149,28 @@ class TestNoiseFloor:
         with pytest.raises(AnalysisError):
             estimate_noise_floor(make_pdp(np.ones(50)))
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        size=st.integers(100, 700),
+        seed=st.integers(0, 2**32 - 1),
+        special=st.sampled_from([None, 0.0, math.inf, math.nan]),
+        ties=st.booleans(),
+    )
+    def test_bit_identical_to_np_median(self, size, seed, special, ties):
+        rng = np.random.default_rng(seed)
+        power = rng.exponential(1e-9, size=size)
+        if ties:
+            power = np.round(power, 10)
+        if special is not None:
+            power[rng.integers(size, size=2)] = special
+        tail = power[-(size // 10) :]
+        floor = estimate_noise_floor(make_pdp(power))
+        median = float(np.median(tail))
+        expected = -math.inf if median <= 0.0 else 10.0 * math.log10(median)
+        assert np.float64(floor).tobytes() == np.float64(expected).tobytes() or (
+            math.isnan(floor) and math.isnan(expected)
+        )
+
 
 class TestThreshold:
     def make(self, peak_dbm, floor_dbm):

@@ -354,7 +354,7 @@ class TestCli:
         assert cli_main(["sweep", "--scenario", "corner_route", "--rx-index", "99"]) == 2
 
     @pytest.mark.parametrize("verb", ["sweep", "campaign"])
-    @pytest.mark.parametrize("step", ["0", "-90", "nan", "inf"])
+    @pytest.mark.parametrize("step", ["0", "-90", "nan", "inf", "1e-7"])
     def test_bad_step_exit_code(self, mini_path, tmp_path, verb, step):
         args = [verb, "--scenario", str(mini_path), f"--step-deg={step}", "--sweeps", "1"]
         if verb == "campaign":
@@ -376,8 +376,14 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "option",
-        [["--step-deg=0"], ["--step-deg=50"], ["--step-deg=nan"], ["--sweeps", "0"], ["--averages", "0"]],
-        ids=["step-zero", "step-not-dividing-360", "step-nan", "sweeps-zero", "averages-zero"],
+        [
+            ["--step-deg=0"], ["--step-deg=50"], ["--step-deg=nan"], ["--step-deg=1e-7"],
+            ["--sweeps", "0"], ["--averages", "0"],
+        ],
+        ids=[
+            "step-zero", "step-not-dividing-360", "step-nan", "step-too-many-spokes",
+            "sweeps-zero", "averages-zero",
+        ],
     )
     def test_bad_sweep_option_leaves_no_output_dir(self, mini_path, tmp_path, option):
         out = tmp_path / "o"
@@ -426,6 +432,20 @@ class TestCli:
         ]) == 0
         # slide factor 128 code periods of 127 chips x 8 samples
         assert len(read_waveform(out / "received.bin")) == 128 * 127 * 8
+
+    def test_simulate_path_in_noise_floor_window_exit_code(self, tmp_path):
+        # the reflection arrives at 3.736 us: inside one 4.094 us code period
+        # of the full preset, but within its noise-floor window (3.685 us on)
+        scenario = tmp_path / "far.yaml"
+        scenario.write_text(MINI_SCENARIO.replace("label: far-ish", "label: los").replace(
+            "environment: {}",
+            "environment:\n  reflectors: [{start_m: [570.0, -100.0], end_m: [570.0, 100.0]}]",
+        ))
+        out = tmp_path / "sim"
+        args = ["simulate", "--scenario", str(scenario), "--rx-index", "0", "--out", str(out)]
+        assert cli_main([*args, "--preset", "full"]) == 3
+        assert not out.exists()
+        assert cli_main([*args, "--preset", "desk"]) == 0
 
     def test_sweep_smoke(self, tmp_path, capsys):
         scenario = tmp_path / "mini.yaml"

@@ -8,19 +8,22 @@ from hypothesis import strategies as st
 from corrsounder.channel import (
     AntennaPattern,
     MultipathChannel,
+    PathComponent,
     Reflector,
     RxLocation,
     ScenarioConfig,
     Wall,
     apply_channel,
     fspl,
+    synthesize_channel,
 )
 from corrsounder.cli import shipped_scenario_path
-from corrsounder.correlator import correlate_fast, desk_preset, processing_gain
+from corrsounder.correlator import correlate_fast, desk_preset, get_preset, processing_gain
 from corrsounder.scenario_io import load_scenario
-from corrsounder.errors import AnalysisError, ConfigError
+from corrsounder.errors import AnalysisError, ConfigError, SimulationError
 from corrsounder.sweep import (
     ABSENT_POWER_DBM,
+    MAX_AZIMUTH_SPOKES,
     DirectionalRecord,
     LinkBudget,
     SweepSet,
@@ -274,6 +277,12 @@ class TestRunSweep:
         with pytest.raises(ConfigError, match="must divide 360"):
             check_sweep_options(5e-324, sweeps=1, averages=1)
 
+    def test_spoke_count_capped(self):
+        check_sweep_options(360.0 / MAX_AZIMUTH_SPOKES, sweeps=1, averages=1)  # 0.1 degree
+        for step in (0.09, 1e-7):
+            with pytest.raises(ConfigError, match=f"more than {MAX_AZIMUTH_SPOKES}"):
+                check_sweep_options(step, sweeps=1, averages=1)
+
     @pytest.mark.parametrize("step", [0.0, -90.0, math.nan, math.inf], ids=["zero", "negative", "nan", "inf"])
     def test_step_outside_full_turn_rejected(self, desk, step):
         with pytest.raises(ConfigError, match=r"azimuth step must be in \(0, 360\]"):
@@ -314,6 +323,46 @@ class TestFoldedNoise:
         tolerance = 4.0 * math.hypot(se_one, se_full)
         assert tolerance < 0.1 * full
         assert abs(one - full) <= tolerance
+
+
+class TestNoiseWindowGuard:
+    # estimate_noise_floor reads the trailing tenth of the delay axis: from
+    # bin 1829 of 2032 on desk (114.3 us), from bin 29477 of 32752 on full
+    # (3.685 us); bins are 1/16 chip apart
+    WINDOW_S = {"desk": 1829 / 16 * 1e-6, "full": 29477 / 16 * 2e-9}
+
+    @staticmethod
+    def acquire(preset, delay_s):
+        iso = AntennaPattern.isotropic()
+        channel = MultipathChannel(
+            paths=(
+                PathComponent(100e-9, 1e-4, 0.0, 0.0, 0.0, 180.0, 0.0),
+                PathComponent(delay_s, 1e-5, 0.0, 0.0, 0.0, 0.0, 0.0, kind="reflection"),
+            ),
+            carrier_hz=73.5e9,
+        )
+        return receive(preset, probe_waveform(preset, 0.0), channel, iso, iso, -174.0, 0)
+
+    @pytest.mark.parametrize("name", ["desk", "full"])
+    def test_path_reaching_the_window_rejected(self, name):
+        preset = get_preset(name)
+        chip_s = 1.0 / preset.config.tx_chip_rate
+        edge_s = self.WINDOW_S[name] - chip_s
+        self.acquire(preset, edge_s - 0.01 * chip_s)
+        for delay_s in (edge_s + 0.01 * chip_s, self.WINDOW_S[name]):
+            with pytest.raises(SimulationError, match=r"reflection path at .* noise-floor window"):
+                self.acquire(preset, delay_s)
+
+    @pytest.mark.parametrize("scenario", ["corner_route", "corner_clusters"])
+    def test_shipped_scenarios_clear_of_the_window(self, scenario):
+        sc = load_scenario(shipped_scenario_path(scenario))
+        full = get_preset("full")
+        iso = AntennaPattern.isotropic()
+        wave = probe_waveform(full, sc.tx_power_dbm)
+        for k in range(len(sc.rx_locations)):
+            channel = synthesize_channel(sc, k)
+            assert all(p.delay_s < 0.5e-6 for p in channel.paths)
+            receive(full, wave, channel, iso, iso, sc.effective_noise_psd_dbm_hz, k)
 
 
 def angular_lobes(table, margin_db):

@@ -154,7 +154,8 @@ class TestDesignLowpassTaps:
 class TestRuntimeWithoutScipy:
     def test_no_scipy_module_loaded(self):
         # A fresh interpreter in which every scipy import fails: the CLI, a
-        # desk sweep and the full preset's correlator must run on numpy alone.
+        # desk sweep and the full preset's correlator must run on numpy alone,
+        # and the noise floor's median must not load numpy.ma.
         code = (
             "import sys\n"
             "sys.modules['scipy'] = None\n"
@@ -169,12 +170,13 @@ class TestRuntimeWithoutScipy:
             "cir = correlate_fast(full.transmit_waveform(periods=1), full.config, full.chip_sequence())\n"
             "print(len(ss.records), len(cir))\n"
             "print(sorted(m for m, mod in sys.modules.items() if m.split('.')[0] == 'scipy' and mod is not None))\n"
+            "print('numpy.ma' in sys.modules)\n"
         )
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120,
             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
         ).stdout
-        assert out.split("\n")[:2] == ["4 32752", "[]"]
+        assert out.split("\n")[:3] == ["4 32752", "[]", "False"]
 
 
 class TestBinaryExport:
