@@ -364,7 +364,7 @@ def _make_path(sc, tx3, rx3, via2, plan_len, extra_loss_db, kind) -> PathCompone
     )
 
 
-def synthesize_channel(sc: ScenarioConfig, rx_index: int) -> MultipathChannel:
+def ray_paths(sc: ScenarioConfig, rx_index: int) -> tuple[PathComponent, ...]:
     """Deterministic ray construction for one RX location.
 
     Direct path when no wall cuts the sight line; one specular bounce per
@@ -405,19 +405,76 @@ def synthesize_channel(sc: ScenarioConfig, rx_index: int) -> MultipathChannel:
             paths.append(
                 _make_path(sc, tx3, rx3, edge, plan, knife_edge_loss_db(nu), "diffraction")
             )
+    return tuple(paths)
 
-    if not paths:
+
+def synthesize_channel(sc: ScenarioConfig, rx_index: int) -> MultipathChannel:
+    """The channel of :func:`ray_paths`; warns when no path exists."""
+    channel = MultipathChannel(paths=ray_paths(sc, rx_index), carrier_hz=sc.carrier_hz)
+    if not channel.paths:
         log.warning(
             "scenario %s RX %s: no propagation path exists, returning empty channel",
             sc.name,
             sc.rx_locations[rx_index].ident,
         )
-    return MultipathChannel(paths=tuple(paths), carrier_hz=sc.carrier_hz)
+    return channel
 
 
 # ---------------------------------------------------------------------------
 # channel application
 # ---------------------------------------------------------------------------
+
+
+def path_terms(w: SampledWaveform, ch: MultipathChannel, tx: AntennaPattern) -> list[tuple]:
+    """Set-up of :func:`apply_channel` for one input and transmit pointing.
+
+    Per path: the path, its delayed copy of the input (a circular shift by
+    the delay rounded to the nearest sample), its transmit pattern gain in
+    dBi and its carrier phasor.  A delay at or beyond one code period is
+    ambiguous and rejected.
+    """
+    fs = w.sample_rate
+    period_s = w.period_samples / fs
+    terms = []
+    for p in ch.paths:
+        if p.delay_s >= period_s:
+            raise SimulationError(
+                f"path delay {p.delay_s * 1e9:.1f} ns aliases beyond one code "
+                f"period ({period_s * 1e9:.1f} ns)"
+            )
+        shifted = np.roll(w.samples, int(round(p.delay_s * fs)))
+        tx_gain = pattern_gain(tx, p.aod_az_deg, p.aod_el_deg)
+        terms.append((p, shifted, tx_gain, np.exp(1j * p.phase_rad)))
+    return terms
+
+
+def path_coefficients(terms: list[tuple], rx: AntennaPattern) -> list[complex]:
+    """One complex weight per path of :func:`path_terms` for a receive
+    pointing: amplitude gain times both pattern gains times carrier phasor."""
+    return [
+        p.gain * 10.0 ** ((tx_gain + pattern_gain(rx, p.aoa_az_deg, p.aoa_el_deg)) / 20.0) * phasor
+        for p, _, tx_gain, phasor in terms
+    ]
+
+
+def superpose(terms: list[tuple], coefficients: list[complex], n: int) -> np.ndarray:
+    """Sum of the weighted path copies, added in path order from zeros."""
+    out = np.zeros(n, dtype=np.complex128)
+    for (_, shifted, _, _), coeff in zip(terms, coefficients):
+        out += coeff * shifted
+    return out
+
+
+def noise_sigma(noise_psd_dbm_hz: float, fs: float) -> float:
+    """Per-component standard deviation of white complex noise of that PSD
+    sampled at ``fs``."""
+    return math.sqrt(10.0 ** (noise_psd_dbm_hz / 10.0) * fs / 2.0)
+
+
+def add_noise(out: np.ndarray, sigma: float, gen: np.random.Generator) -> None:
+    """Add white complex noise in place: real parts drawn first, then
+    imaginary parts."""
+    out += sigma * (gen.standard_normal(out.size) + 1j * gen.standard_normal(out.size))
 
 
 def apply_channel(
@@ -436,28 +493,9 @@ def apply_channel(
     wrap circularly; anything at or beyond one code period is ambiguous and
     rejected.
     """
-    fs = w.sample_rate
-    period_s = w.period_samples / fs
-    out = np.zeros(len(w), dtype=np.complex128)
-    for p in ch.paths:
-        if p.delay_s >= period_s:
-            raise SimulationError(
-                f"path delay {p.delay_s * 1e9:.1f} ns aliases beyond one code "
-                f"period ({period_s * 1e9:.1f} ns)"
-            )
-        shift = int(round(p.delay_s * fs))
-        coeff = (
-            p.gain
-            * 10.0 ** ((pattern_gain(tx, p.aod_az_deg, p.aod_el_deg)
-                        + pattern_gain(rx, p.aoa_az_deg, p.aoa_el_deg)) / 20.0)
-            * np.exp(1j * p.phase_rad)
-        )
-        out += coeff * np.roll(w.samples, shift)
-
+    terms = path_terms(w, ch, tx)
+    out = superpose(terms, path_coefficients(terms, rx), len(w))
     if noise_psd_dbm_hz is not None:
         gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-        noise_mw = 10.0 ** (noise_psd_dbm_hz / 10.0) * fs
-        sigma = math.sqrt(noise_mw / 2.0)
-        out += sigma * (gen.standard_normal(len(w)) + 1j * gen.standard_normal(len(w)))
-
+        add_noise(out, noise_sigma(noise_psd_dbm_hz, w.sample_rate), gen)
     return replace(w, samples=out)

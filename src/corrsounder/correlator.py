@@ -262,11 +262,6 @@ class DilatedCir:
         return np.arange(len(self)) / self.sample_rate
 
     @property
-    def excess_delay(self) -> np.ndarray:
-        """True-delay axis: compressed time divided by the slide factor."""
-        return self.compressed_time / self.slide_factor
-
-    @property
     def samples_per_chip(self) -> int:
         return COMPRESSED_SAMPLES_PER_CHIP
 
@@ -283,9 +278,8 @@ def _integer(value: float, what: str) -> int:
     return int(n)
 
 
-def _validate_geometry(w: SampledWaveform, cfg: CorrelatorConfig) -> tuple[int, int]:
+def _validate_geometry(fs: float, cfg: CorrelatorConfig) -> tuple[int, int]:
     """Common length/rate checks; returns (dilated samples, decim step)."""
-    fs = w.sample_rate
     if fs < 2.0 * cfg.tx_chip_rate:
         raise SimulationError(
             f"sample rate {fs} below 2x the tx chip rate {cfg.tx_chip_rate}"
@@ -371,7 +365,7 @@ def correlate_literal(
     if len(pn) != cfg.code_length:
         raise ConfigError(f"code length mismatch: {len(pn)} vs config {cfg.code_length}")
     fs = rx_wave.sample_rate
-    d, step = _validate_geometry(rx_wave, cfg)
+    d, step = _validate_geometry(fs, cfg)
     if len(rx_wave) < d:
         raise SimulationError(
             f"record of {len(rx_wave)} samples shorter than one dilated period ({d})"
@@ -388,13 +382,15 @@ def correlate_literal(
 # ---------------------------------------------------------------------------
 
 
-def _fold(rx_wave: SampledWaveform, p: int) -> np.ndarray:
-    folds = len(rx_wave) // p
+def _fold(samples: np.ndarray, p: int) -> np.ndarray:
+    folds = samples.size // p
     if folds < 1:
         raise SimulationError(
-            f"record of {len(rx_wave)} samples shorter than one code period ({p})"
+            f"record of {samples.size} samples shorter than one code period ({p})"
         )
-    return rx_wave.samples[: folds * p].reshape(folds, p).mean(axis=0)
+    if folds == 1:
+        return samples[:p]  # the mean of one period is itself
+    return samples[: folds * p].reshape(folds, p).mean(axis=0)
 
 
 @functools.lru_cache(maxsize=16)
@@ -420,9 +416,10 @@ def _polyphase_plan(cfg: CorrelatorConfig, fs: float, pn: ChipSequence):
     In the frequency domain this is aliasing: taking every g-th sample of a
     P1-point convolution adds its g spectral bins spaced M apart, each
     weighted by the coset's phase ramp, onto M bins.  The plan stores the
-    M-point spectra of H as (R, g, M), so a call needs g forward FFTs of
+    M-point spectra of H as (M, g, R), so a call needs g forward FFTs of
     length M (one per input branch), a multiply-accumulate over the
-    branches, R inverse FFTs of length M and one flat gather; it computes
+    branches (per bin, a (1, g) by (g, R) product), R inverse FFTs of
+    length M and one gather from the resulting (M, R) array; it computes
     R * M bins, each of them kept.  Returns None when the slow code has no
     grid-exact period.  Depends only on the config, rate and code, so it is
     cached (do not mutate the arrays).
@@ -450,8 +447,8 @@ def _polyphase_plan(cfg: CorrelatorConfig, fs: float, pn: ChipSequence):
     branch += np.arange(phases)[:, None, None] * p1
     q = np.arange(d // step)
     r = q % phases
-    gather = r * m + (q * step % p1 - offsets[r]) // g
-    return np.fft.fft(kernels[branch], axis=2), gather
+    gather = (q * step % p1 - offsets[r]) // g * phases + r
+    return np.fft.fft(kernels[branch], axis=2).transpose(2, 1, 0).copy(), gather
 
 
 @functools.lru_cache(maxsize=16)
@@ -482,6 +479,40 @@ def _template_response(cfg: CorrelatorConfig, fs: float, pn: ChipSequence) -> np
     return response * (up / p)
 
 
+def fast_kernel(cfg: CorrelatorConfig, fs: float, pn: ChipSequence):
+    """Set-up of :func:`correlate_fast` for one (config, rate, code).
+
+    Checks the code length and the sampling geometry, fetches the cached
+    plan and returns ``(p, compress)``: the code period P1 in samples and
+    the per-capture core, which maps one (folded) period of input to the
+    compressed trace, ``code_length * COMPRESSED_SAMPLES_PER_CHIP`` complex
+    samples.
+    """
+    if len(pn) != cfg.code_length:
+        raise ConfigError(f"code length mismatch: {len(pn)} vs config {cfg.code_length}")
+    _validate_geometry(fs, cfg)
+    p = cfg.code_length * _integer(fs / cfg.tx_chip_rate, "samples per tx chip")
+
+    plan = _polyphase_plan(cfg, fs, pn)
+    if plan is None:
+        response = _template_response(cfg, fs, pn)
+        reps = response.size // p
+
+        def compress(period: np.ndarray) -> np.ndarray:
+            return np.fft.ifft(np.tile(np.fft.fft(period), reps) * response)
+
+    else:
+        spectra, gather = plan
+        m, g = spectra.shape[:2]
+
+        def compress(period: np.ndarray) -> np.ndarray:
+            branches = np.fft.fft(period.reshape(m, g), axis=0)  # (M, g)
+            mixed = np.matmul(branches[:, None, :], spectra)[:, 0]  # (M, R)
+            return np.fft.ifft(mixed, axis=0).ravel()[gather]
+
+    return p, compress
+
+
 def correlate_fast(
     rx_wave: SampledWaveform, cfg: CorrelatorConfig, pn: ChipSequence
 ) -> DilatedCir:
@@ -493,53 +524,8 @@ def correlate_fast(
     paths agree to numerical precision for the periodic signal part; noise
     enters folded rather than streamed.
     """
-    if len(pn) != cfg.code_length:
-        raise ConfigError(f"code length mismatch: {len(pn)} vs config {cfg.code_length}")
-    fs = rx_wave.sample_rate
-    _validate_geometry(rx_wave, cfg)
-    spc = _integer(fs / cfg.tx_chip_rate, "samples per tx chip")
-    folded = _fold(rx_wave, cfg.code_length * spc)
-
-    plan = _polyphase_plan(cfg, fs, pn)
-    if plan is None:
-        response = _template_response(cfg, fs, pn)
-        compressed = np.fft.ifft(np.tile(np.fft.fft(folded), response.size // folded.size) * response)
-    else:
-        spectra, gather = plan
-        g, m = spectra.shape[1:]
-        branches = np.fft.fft(folded.reshape(m, g).T, axis=1)
-        compressed = np.fft.ifft((spectra * branches).sum(axis=1), axis=1).ravel()[gather]
-    return _make_cir(compressed, cfg)
-
-
-def _g10(values: list[float]) -> list[str]:
-    return [f"{v:.10g}" for v in values]
-
-
-@functools.lru_cache(maxsize=4)
-def _axis_column(axis: bytes, scale: float) -> tuple[str, ...]:
-    return tuple(_g10((np.frombuffer(axis) * scale).tolist()))
-
-
-def write_csv_rows(fh, axis: np.ndarray, scale: float, columns) -> None:
-    """Write the rows ``axis * scale, *values`` ('.10g'), one write per block.
-
-    ``columns`` holds (values, format) pairs; ``format`` maps a list of
-    floats to their cells.  Each block of at most ``CSV_BLOCK_ROWS`` rows is
-    formatted from Python floats and written at once, so the text held in
-    memory stays bounded.  An axis that fits in one block is formatted once
-    and reused (every PDP of a preset shares its delay axis).
-    """
-    axis = np.asarray(axis, dtype=np.float64)  # the cache key is its bytes
-    n = len(axis)
-    for start in range(0, n, CSV_BLOCK_ROWS):
-        block = slice(start, start + CSV_BLOCK_ROWS)
-        if n <= CSV_BLOCK_ROWS:
-            first = _axis_column(axis.tobytes(), scale)
-        else:
-            first = _g10((axis[block] * scale).tolist())
-        cells = [fmt(values[block].tolist()) for values, fmt in columns]
-        fh.write("\n".join(map(",".join, zip(first, *cells))) + "\n")
+    p, compress = fast_kernel(cfg, rx_wave.sample_rate, pn)
+    return _make_cir(compress(_fold(rx_wave.samples, p)), cfg)
 
 
 def write_cir_csv(cir: DilatedCir, path, cfg: CorrelatorConfig | None = None) -> None:
@@ -555,6 +541,9 @@ def write_cir_csv(cir: DilatedCir, path, cfg: CorrelatorConfig | None = None) ->
             fh.write(f"# code_length={cfg.code_length}\n")
             fh.write(f"# lpf_cutoff_hz={cfg.lpf_cutoff:.10g}\n")
         fh.write("compressed_time_s,i,q\n")
-        write_csv_rows(
-            fh, cir.compressed_time, 1.0, ((cir.i_channel, _g10), (cir.q_channel, _g10))
-        )
+        # one '%' format per block of interleaved rows ('%.10g' % v prints
+        # as f"{v:.10g}" does)
+        columns = (cir.compressed_time, cir.i_channel, cir.q_channel)
+        for start in range(0, len(cir), CSV_BLOCK_ROWS):
+            block = np.column_stack([c[start : start + CSV_BLOCK_ROWS] for c in columns])
+            fh.write("%.10g,%.10g,%.10g\n" * len(block) % tuple(block.ravel().tolist()))

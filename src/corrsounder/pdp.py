@@ -16,16 +16,17 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .correlator import (
     COMPRESSED_SAMPLES_PER_CHIP,
+    CSV_BLOCK_ROWS,
     DilatedCir,
     SounderPreset,
     correlate_fast,
-    write_csv_rows,
 )
 from .errors import AnalysisError, ConfigError
 
@@ -64,6 +65,33 @@ def _dbm(power_mw: float) -> float:
     return -math.inf if power_mw <= 0.0 else 10.0 * math.log10(power_mw)
 
 
+def _check_uniform(axis: np.ndarray) -> None:
+    if axis.size < 2:
+        return
+    steps = np.diff(axis)
+    # np.allclose's test (rtol 1e-9, atol 1e-18) as one reduction; a NaN step
+    # makes the comparison False, so it is rejected too.
+    if not np.abs(steps - steps[0]).max() <= 1e-18 + 1e-9 * abs(steps[0]):
+        raise ConfigError("excess delay axis must be uniform")
+
+
+#: Read-only delay axes already checked by :func:`delay_axis`, by id; an
+#: entry goes when its axis is freed, so an id is never matched stale.
+_CHECKED_AXES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+@functools.lru_cache(maxsize=8)
+def delay_axis(bins: int, sample_rate: float, slide_factor: float) -> np.ndarray:
+    """True-delay axis of a ``bins``-long trace: its compressed time divided
+    by the slide factor.  Checked once, read-only and shared by every profile
+    built on it."""
+    axis = np.arange(bins) / sample_rate / slide_factor
+    _check_uniform(axis)
+    axis.flags.writeable = False
+    _CHECKED_AXES[id(axis)] = axis
+    return axis
+
+
 @dataclass(frozen=True, eq=False)
 class PowerDelayProfile:
     power_mw: np.ndarray
@@ -79,12 +107,8 @@ class PowerDelayProfile:
         d = np.asarray(self.excess_delay_s, dtype=np.float64)
         if p.shape != d.shape or p.ndim != 1:
             raise ConfigError("power and delay axes must be matching 1-D vectors")
-        if p.size >= 2:
-            steps = np.diff(d)
-            # np.allclose's test (rtol 1e-9, atol 1e-18) as one reduction; a
-            # NaN step makes the comparison False, so it is rejected too.
-            if not np.abs(steps - steps[0]).max() <= 1e-18 + 1e-9 * abs(steps[0]):
-                raise ConfigError("excess delay axis must be uniform")
+        if _CHECKED_AXES.get(id(d)) is not d:
+            _check_uniform(d)
         object.__setattr__(self, "power_mw", p)
         object.__setattr__(self, "excess_delay_s", d)
 
@@ -115,7 +139,7 @@ def pdp_from_iq(
     power = cir.i_channel**2 + cir.q_channel**2
     return PowerDelayProfile(
         power_mw=power,
-        excess_delay_s=cir.excess_delay,
+        excess_delay_s=delay_axis(len(cir), cir.sample_rate, cir.slide_factor),
         pulse_bins=pulse_bins if pulse_bins is not None else pulse_energy_bins(cir.samples_per_chip),
         metadata=dict(metadata),
     )
@@ -287,6 +311,15 @@ def _dbm_cells(powers: list[float]) -> list[str]:
     return ["-inf" if p <= 0.0 else f"{10.0 * math.log10(p):.10g}" for p in powers]
 
 
+def _ns_cells(delays_s: np.ndarray) -> list[str]:
+    return [f"{v:.10g}" for v in (delays_s * 1e9).tolist()]
+
+
+@functools.lru_cache(maxsize=4)
+def _delay_column(axis: bytes) -> tuple[str, ...]:
+    return tuple(_ns_cells(np.frombuffer(axis)))
+
+
 def write_pdp_csv(pdp: PowerDelayProfile, path) -> None:
     """CSV export: '#'-prefixed metadata rows, then excess_delay_ns,power_dBm."""
 
@@ -301,4 +334,15 @@ def write_pdp_csv(pdp: PowerDelayProfile, path) -> None:
             if key in pdp.metadata:
                 fh.write(f"# {key}={pdp.metadata[key]}\n")
         fh.write("excess_delay_ns,power_dBm\n")
-        write_csv_rows(fh, pdp.excess_delay_s, 1e9, ((pdp.power_mw, _dbm_cells),))
+        # blocks of at most CSV_BLOCK_ROWS rows, one write each; an axis that
+        # fits in one block is formatted once (every PDP of a preset shares it)
+        delays = pdp.excess_delay_s
+        n = len(delays)
+        for start in range(0, n, CSV_BLOCK_ROWS):
+            block = slice(start, start + CSV_BLOCK_ROWS)
+            if n <= CSV_BLOCK_ROWS:
+                first = _delay_column(delays.tobytes())
+            else:
+                first = _ns_cells(delays[block])
+            cells = _dbm_cells(pdp.power_mw[block].tolist())
+            fh.write("\n".join(map(",".join, zip(first, cells))) + "\n")

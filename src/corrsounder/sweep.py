@@ -15,20 +15,33 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import AntennaPattern, MultipathChannel, ScenarioConfig, apply_channel, fspl, synthesize_channel
+from .channel import (
+    AntennaPattern,
+    MultipathChannel,
+    PathComponent,
+    ScenarioConfig,
+    add_noise,
+    apply_channel,
+    fspl,
+    noise_sigma,
+    path_coefficients,
+    path_terms,
+    ray_paths,
+    superpose,
+    synthesize_channel,
+)
 from .correlator import (
     COMPRESSED_SAMPLES_PER_CHIP,
     SounderPreset,
-    correlate_fast,
+    fast_kernel,
     processing_gain,
     slide_factor,
 )
 from .errors import AnalysisError, ConfigError, SimulationError
 from .pdp import (
     PowerDelayProfile,
-    average_pdps,
+    delay_axis,
     noise_window_start,
-    pdp_from_iq,
     system_pulse_energy_bins,
     threshold_pdp,
 )
@@ -42,6 +55,7 @@ __all__ = [
     "ABSENT_POWER_DBM",
     "MAX_AZIMUTH_SPOKES",
     "check_sweep_options",
+    "check_location",
     "probe_waveform",
     "receive",
     "run_sweep",
@@ -126,6 +140,33 @@ def probe_waveform(
     return replace(wave, samples=wave.samples * math.sqrt(10.0 ** (tx_power_dbm / 10.0)))
 
 
+def _check_delays(preset: SounderPreset, paths: tuple[PathComponent, ...]) -> None:
+    # the window starts before one code period ends, so a path that passes
+    # cannot alias either
+    cfg = preset.config
+    chip_s = 1.0 / cfg.tx_chip_rate
+    bins = cfg.code_length * COMPRESSED_SAMPLES_PER_CHIP
+    window_s = noise_window_start(bins) * chip_s / COMPRESSED_SAMPLES_PER_CHIP
+    for p in paths:
+        if p.delay_s + chip_s >= window_s:
+            raise SimulationError(
+                f"{p.kind} path at {p.delay_s * 1e9:.1f} ns (plus one chip, {chip_s * 1e9:g} ns) "
+                f"reaches the noise-floor window, which starts at {window_s * 1e9:.1f} ns "
+                f"on the {preset.name} preset"
+            )
+
+
+def check_location(sc: ScenarioConfig, rx_index: int, preset: SounderPreset) -> None:
+    """Run the channel check of :func:`receive` on one location without
+    sweeping it, so a campaign can reject a scenario before writing."""
+    _check_delays(preset, ray_paths(sc, rx_index))
+
+
+def _folded_psd(preset: SounderPreset, wave: SampledWaveform, noise_psd_dbm_hz: float) -> float:
+    folds = round(slide_factor(preset.config)) * wave.period_samples / len(wave)
+    return noise_psd_dbm_hz - 10.0 * math.log10(folds)
+
+
 def receive(
     preset: SounderPreset,
     wave: SampledWaveform,
@@ -146,19 +187,8 @@ def receive(
     axis, where :func:`~corrsounder.pdp.estimate_noise_floor` reads the
     floor, is a ``SimulationError``: its pulse would silently raise the floor.
     """
-    cfg = preset.config
-    chip_s = 1.0 / cfg.tx_chip_rate
-    bins = cfg.code_length * COMPRESSED_SAMPLES_PER_CHIP
-    window_s = noise_window_start(bins) * chip_s / COMPRESSED_SAMPLES_PER_CHIP
-    for p in channel.paths:
-        if p.delay_s + chip_s >= window_s:
-            raise SimulationError(
-                f"{p.kind} path at {p.delay_s * 1e9:.1f} ns (plus one chip, {chip_s * 1e9:g} ns) "
-                f"reaches the noise-floor window, which starts at {window_s * 1e9:.1f} ns "
-                f"on the {preset.name} preset"
-            )
-    folds = round(slide_factor(cfg)) * wave.period_samples / len(wave)
-    psd = noise_psd_dbm_hz - 10.0 * math.log10(folds)
+    _check_delays(preset, channel.paths)
+    psd = _folded_psd(preset, wave, noise_psd_dbm_hz)
     return apply_channel(wave, channel, tx_pattern, rx_pattern, psd, rng)
 
 
@@ -176,16 +206,20 @@ def run_sweep(
     The angle grid starts at the spoke nearest the strongest path's arrival
     azimuth (the operator's best-pointing convention); power analyses are
     invariant to that rotation.  Each (angle, sweep) acquisition applies the
-    channel with independently seeded noise (:func:`receive`), correlates
-    with :func:`correlate_fast`, averages ``averages`` captures
-    non-coherently and thresholds the result.  Angles whose thresholded PDP
-    keeps no sample are recorded as signal-absent.
+    channel with independently seeded noise, correlates, averages
+    ``averages`` captures non-coherently and thresholds the result.  Angles
+    whose thresholded PDP keeps no sample are recorded as signal-absent.
+
+    Every capture computes exactly what :func:`receive`,
+    :func:`~corrsounder.correlator.correlate_fast` and
+    :func:`~corrsounder.pdp.pdp_from_iq` compute, through the same cores:
+    what depends only on the location (channel check, delayed probe copies,
+    noise level, correlator plan, delay axis) is set up once, the path
+    weights once per spoke, and a capture is array work only.
     """
     check_sweep_options(step_deg, sweeps, averages)
     channel = synthesize_channel(sc, rx_index)  # checks rx_index first
     rx_loc = sc.rx_locations[rx_index]
-
-    tx_pattern = sc.tx_pattern.pointed(*sc.tx_pointing_for(rx_loc))
 
     start = 0.0
     if channel.paths:
@@ -193,28 +227,41 @@ def run_sweep(
         start = round(strongest.aoa_az_deg / step_deg) * step_deg
     grid = _angle_grid(step_deg, start)
 
+    # per location: what receive, correlate_fast and pdp_from_iq set up
+    _check_delays(preset, channel.paths)
     wave = probe_waveform(preset, sc.tx_power_dbm)
-    chips = preset.chip_sequence()
+    tx_pattern = sc.tx_pattern.pointed(*sc.tx_pointing_for(rx_loc))
+    terms = path_terms(wave, channel, tx_pattern)
+    sigma = noise_sigma(_folded_psd(preset, wave, sc.effective_noise_psd_dbm_hz), wave.sample_rate)
+    cfg = preset.config
+    # the probe is one code period, so a capture has nothing to fold
+    period, compress = fast_kernel(cfg, wave.sample_rate, preset.chip_sequence())
+    axis = delay_axis(
+        cfg.code_length * COMPRESSED_SAMPLES_PER_CHIP, cfg.compressed_sample_rate, slide_factor(cfg)
+    )
     pulse_bins = system_pulse_energy_bins(preset)
-    noise_psd = sc.effective_noise_psd_dbm_hz
 
     records = []
     for ai, azimuth in enumerate(grid):
-        rx_pattern = sc.rx_pattern.pointed(azimuth, sc.rx_elevation_deg)
+        coefficients = path_coefficients(
+            terms, sc.rx_pattern.pointed(azimuth, sc.rx_elevation_deg)
+        )
         per_sweep: list[PowerDelayProfile] = []
         for s in range(sweeps):
-            acquisitions = []
+            powers = []
             for a in range(averages):
                 rng = np.random.default_rng((seed, rx_index, ai, s, a))
-                received = receive(preset, wave, channel, tx_pattern, rx_pattern, noise_psd, rng)
-                cir = correlate_fast(received, preset.config, chips)
-                acquisitions.append(
-                    pdp_from_iq(
-                        cir, pulse_bins, angle=azimuth, location=rx_loc.ident, sweep=s
-                    )
-                )
-            averaged = acquisitions[0] if averages == 1 else average_pdps(acquisitions)
-            per_sweep.append(threshold_pdp(averaged))
+                received = superpose(terms, coefficients, period)
+                add_noise(received, sigma, rng)
+                compressed = compress(received)
+                powers.append(compressed.real**2 + compressed.imag**2)
+            metadata = {"angle": azimuth, "location": rx_loc.ident, "sweep": s}
+            if averages > 1:  # average_pdps's mean and tag
+                metadata["averaged"] = averages
+            power = powers[0] if averages == 1 else np.mean(powers, axis=0)
+            per_sweep.append(threshold_pdp(PowerDelayProfile(
+                power_mw=power, excess_delay_s=axis, pulse_bins=pulse_bins, metadata=metadata
+            )))
         records.append(DirectionalRecord.from_pdps(azimuth, per_sweep))
 
     return SweepSet(records=tuple(records), rx_ident=rx_loc.ident)

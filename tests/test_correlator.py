@@ -166,8 +166,9 @@ class TestFastEquivalent:
         wave = upsample_chips(chips, cfg.tx_chip_rate, spc, gamma)
         spectra, gather = _polyphase_plan(cfg, wave.sample_rate, chips)
         kept = len(chips) * COMPRESSED_SAMPLES_PER_CHIP  # d // step
-        assert spectra.shape[0] == phases
-        assert spectra.shape[1] * spectra.shape[2] == len(chips) * spc
+        # stored as (M, g, R)
+        assert spectra.shape[2] == phases
+        assert spectra.shape[0] * spectra.shape[1] == len(chips) * spc
         assert spectra.shape[0] * spectra.shape[2] == kept
         assert np.array_equal(np.sort(gather), np.arange(kept))
         rng = np.random.default_rng(order)

@@ -1,3 +1,4 @@
+import copy
 import csv
 import hashlib
 import json
@@ -5,7 +6,11 @@ import math
 from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import corrsounder.scenario_io as scenario_io
 from corrsounder.cli import main as cli_main, shipped_scenario_path
 from corrsounder.errors import AnalysisError, ConfigError
 from corrsounder.scenario_io import (
@@ -144,6 +149,121 @@ class TestLoadScenario:
         path.write_bytes(b"name: x\n\xff\xfe bad\n")
         with pytest.raises(ConfigError, match="YAML parse error"):
             load_scenario(path)
+
+
+LOADERS = {"libyaml": getattr(yaml, "CSafeLoader", None), "python": yaml.SafeLoader}
+
+
+@pytest.fixture(params=sorted(LOADERS))
+def yaml_loader(request, monkeypatch):
+    """Run a test under each YAML loader ``load_scenario`` can use."""
+    loader = LOADERS[request.param]
+    if loader is None:
+        pytest.skip("PyYAML built without libyaml")
+    monkeypatch.setattr(scenario_io, "_YAML_LOADER", loader)
+    return request.param
+
+
+class TestYamlLoaders:
+    def test_default_is_libyaml_when_available(self):
+        assert scenario_io._YAML_LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+    @pytest.mark.parametrize("name", ["corner_route", "corner_clusters"])
+    def test_shipped_scenarios_load_equal(self, name, monkeypatch):
+        path = shipped_scenario_path(name)
+        loaded = {}
+        for key, loader in LOADERS.items():
+            if loader is not None:
+                monkeypatch.setattr(scenario_io, "_YAML_LOADER", loader)
+                loaded[key] = load_scenario(path)
+        assert all(sc == loaded["python"] for sc in loaded.values())
+
+    @pytest.mark.parametrize(
+        "data, match",
+        [
+            (b"name: x\n\xff\xfe bad\n", "YAML parse error"),
+            (b"name: [unclosed\n", "YAML parse error"),
+            (b"name: x\n\tbad: 1\n", "YAML parse error"),
+            # libyaml rejects the escape while parsing; the Python loader
+            # accepts it, and load_scenario rejects the name
+            (b'name: "\\ud800"\nrx: {locations: [{position_m: [1.0, 1.0]}]}\n', "YAML parse error|not valid UTF-8"),
+        ],
+        ids=["invalid-utf8", "unclosed-flow", "tab-indent", "lone-surrogate"],
+    )
+    def test_unreadable_file_is_config_error(self, yaml_loader, tmp_path, data, match):
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(data)
+        with pytest.raises(ConfigError, match=match):
+            load_scenario(path)
+
+
+def _paths(node, prefix=()):
+    """Every (container path, key) in a parsed YAML tree, depth first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix, key
+        if isinstance(value, (dict, list)) and value:
+            yield from _paths(value, (*prefix, key))
+
+
+_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.just(10**400)
+    | st.floats() | st.text(max_size=6) | st.sampled_from(["los", "nlos", "id", "position_m"])
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+_KEYS = st.text(max_size=8) | st.integers() | st.sampled_from(
+    ["name", "tx", "rx", "environment", "walls", "wedges", "reflectors", "position_m", "start_m", "end_m",
+     "locations", "pattern", "pointing_deg", "tx_pointing_deg", "hpbw_az_deg", "label", "group", "id"]
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestLoadScenarioFuzz:
+    BASE = yaml.safe_load(MINI_SCENARIO.replace("label: far-ish", "label: los").replace(
+        "environment: {}",
+        "environment:\n  walls: [{start_m: [30.0, 5.0], end_m: [30.0, -5.0]}]\n"
+        "  wedges: [{position_m: [30.0, 5.0]}]\n"
+        "  reflectors: [{start_m: [0.0, -20.0], end_m: [60.0, -20.0], loss_db: 6.0}]",
+    ))
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_every_failure_is_a_config_error(self, fuzz_dir, data):
+        # mutate a valid scenario's keys, values and nesting, dump it and
+        # load it: the load either succeeds or raises ConfigError
+        doc = copy.deepcopy(self.BASE)
+        for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+            prefix, key = data.draw(st.sampled_from(list(_paths(doc))), label="where")
+            parent = doc
+            for step in prefix:
+                parent = parent[step]
+            op = data.draw(st.sampled_from(["replace", "delete", "add", "wrap"]), label="op")
+            if op == "replace":
+                parent[key] = data.draw(_VALUES, label="value")
+            elif op == "delete":
+                del parent[key]
+            elif op == "add" and isinstance(parent, dict):
+                parent[data.draw(_KEYS, label="key")] = data.draw(_VALUES, label="value")
+            elif op == "add":
+                parent.insert(key, data.draw(_VALUES, label="value"))
+            else:
+                parent[key] = data.draw(st.sampled_from([[parent[key]], {"x": parent[key]}]), label="wrap")
+            if not doc or not list(_paths(doc)):
+                break
+        path = fuzz_dir / "fuzzed.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        try:
+            load_scenario(path)
+        except ConfigError:
+            pass
 
 
 @pytest.fixture(scope="module")
@@ -446,6 +566,22 @@ class TestCli:
         assert cli_main([*args, "--preset", "full"]) == 3
         assert not out.exists()
         assert cli_main([*args, "--preset", "desk"]) == 0
+
+    def test_campaign_path_in_noise_floor_window_leaves_no_output_dir(self, tmp_path):
+        # a reflector 560 m south puts a 3.74 us path into the full preset's
+        # noise-floor window at one route stop; the campaign must fail
+        # before it writes anything
+        text = shipped_scenario_path("corner_route").read_text()
+        reflectors = "  reflectors:\n"
+        assert text.count(reflectors) == 1
+        scenario = tmp_path / "far.yaml"
+        scenario.write_text(text.replace(
+            reflectors, reflectors + "    - {start_m: [-1000.0, -560.0], end_m: [1000.0, -560.0]}\n"
+        ))
+        out = tmp_path / "o"
+        args = ["campaign", "--scenario", str(scenario), "--kind", "route", "--sweeps", "1", "--out", str(out)]
+        assert cli_main([*args, "--preset", "full"]) == 3
+        assert not out.exists()
 
     def test_sweep_smoke(self, tmp_path, capsys):
         scenario = tmp_path / "mini.yaml"

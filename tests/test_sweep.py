@@ -19,6 +19,7 @@ from corrsounder.channel import (
 )
 from corrsounder.cli import shipped_scenario_path
 from corrsounder.correlator import correlate_fast, desk_preset, get_preset, processing_gain
+from corrsounder.pdp import average_pdps, pdp_from_iq, system_pulse_energy_bins, threshold_pdp
 from corrsounder.scenario_io import load_scenario
 from corrsounder.errors import AnalysisError, ConfigError, SimulationError
 from corrsounder.sweep import (
@@ -323,6 +324,55 @@ class TestFoldedNoise:
         tolerance = 4.0 * math.hypot(se_one, se_full)
         assert tolerance < 0.1 * full
         assert abs(one - full) <= tolerance
+
+
+class TestSweepMatchesPublicStages:
+    """run_sweep sets each location up once and runs its captures as array
+    work; every thresholded PDP must still be what the public stages give
+    capture by capture, with the sweep's per-capture seeds."""
+
+    @pytest.mark.parametrize(
+        "preset_name, rx_index, step_deg, sweeps, averages",
+        [("desk", 5, 90.0, 2, 2), ("full", 5, 360.0, 1, 1)],
+        ids=["desk-averaged", "full-template-branch"],
+    )
+    def test_thresholded_pdps(self, preset_name, rx_index, step_deg, sweeps, averages):
+        seed = 11
+        preset = get_preset(preset_name)
+        sc = load_scenario(shipped_scenario_path("corner_route"))
+        ss = run_sweep(sc, rx_index, step_deg, sweeps, seed, preset, averages=averages)
+
+        channel = synthesize_channel(sc, rx_index)
+        assert len(channel) == 2
+        rx_loc = sc.rx_locations[rx_index]
+        wave = probe_waveform(preset, sc.tx_power_dbm)
+        tx = sc.tx_pattern.pointed(*sc.tx_pointing_for(rx_loc))
+        chips = preset.chip_sequence()
+        pulse_bins = system_pulse_energy_bins(preset)
+        assert len(ss.records) == round(360.0 / step_deg)
+        for ai, record in enumerate(ss.records):
+            rx = sc.rx_pattern.pointed(record.rx_azimuth_deg, sc.rx_elevation_deg)
+            assert len(record.pdps) == sweeps
+            for s, got in enumerate(record.pdps):
+                captures = [
+                    pdp_from_iq(correlate_fast(receive(
+                        preset, wave, channel, tx, rx, sc.effective_noise_psd_dbm_hz,
+                        np.random.default_rng((seed, rx_index, ai, s, a)),
+                    ), preset.config, chips), pulse_bins)
+                    for a in range(averages)
+                ]
+                want = threshold_pdp(average_pdps(captures))
+                peak = want.power_mw.max()
+                assert peak > 0.0
+                assert np.array_equal(got.excess_delay_s, want.excess_delay_s)
+                assert np.abs(got.power_mw - want.power_mw).max() <= 1e-13 * peak
+                assert got.noise_floor_dbm == pytest.approx(want.noise_floor_dbm, abs=1e-9)
+                assert got.threshold_dbm == pytest.approx(want.threshold_dbm, abs=1e-9)
+                assert got.total_power_dbm == pytest.approx(want.total_power_dbm, abs=1e-9)
+                assert got.metadata == {
+                    "angle": record.rx_azimuth_deg, "location": rx_loc.ident, "sweep": s,
+                    **({"averaged": averages} if averages > 1 else {}),
+                }
 
 
 class TestNoiseWindowGuard:
