@@ -364,7 +364,7 @@ def _make_path(sc, tx3, rx3, via2, plan_len, extra_loss_db, kind) -> PathCompone
     )
 
 
-def ray_paths(sc: ScenarioConfig, rx_index: int) -> tuple[PathComponent, ...]:
+def synthesize_channel(sc: ScenarioConfig, rx_index: int) -> MultipathChannel:
     """Deterministic ray construction for one RX location.
 
     Direct path when no wall cuts the sight line; one specular bounce per
@@ -405,19 +405,14 @@ def ray_paths(sc: ScenarioConfig, rx_index: int) -> tuple[PathComponent, ...]:
             paths.append(
                 _make_path(sc, tx3, rx3, edge, plan, knife_edge_loss_db(nu), "diffraction")
             )
-    return tuple(paths)
 
-
-def synthesize_channel(sc: ScenarioConfig, rx_index: int) -> MultipathChannel:
-    """The channel of :func:`ray_paths`; warns when no path exists."""
-    channel = MultipathChannel(paths=ray_paths(sc, rx_index), carrier_hz=sc.carrier_hz)
-    if not channel.paths:
+    if not paths:
         log.warning(
             "scenario %s RX %s: no propagation path exists, returning empty channel",
             sc.name,
             sc.rx_locations[rx_index].ident,
         )
-    return channel
+    return MultipathChannel(paths=tuple(paths), carrier_hz=sc.carrier_hz)
 
 
 # ---------------------------------------------------------------------------

@@ -388,8 +388,6 @@ def _fold(samples: np.ndarray, p: int) -> np.ndarray:
         raise SimulationError(
             f"record of {samples.size} samples shorter than one code period ({p})"
         )
-    if folds == 1:
-        return samples[:p]  # the mean of one period is itself
     return samples[: folds * p].reshape(folds, p).mean(axis=0)
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import logging
 import math
-import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -65,30 +64,12 @@ def _dbm(power_mw: float) -> float:
     return -math.inf if power_mw <= 0.0 else 10.0 * math.log10(power_mw)
 
 
-def _check_uniform(axis: np.ndarray) -> None:
-    if axis.size < 2:
-        return
-    steps = np.diff(axis)
-    # np.allclose's test (rtol 1e-9, atol 1e-18) as one reduction; a NaN step
-    # makes the comparison False, so it is rejected too.
-    if not np.abs(steps - steps[0]).max() <= 1e-18 + 1e-9 * abs(steps[0]):
-        raise ConfigError("excess delay axis must be uniform")
-
-
-#: Read-only delay axes already checked by :func:`delay_axis`, by id; an
-#: entry goes when its axis is freed, so an id is never matched stale.
-_CHECKED_AXES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-
 @functools.lru_cache(maxsize=8)
 def delay_axis(bins: int, sample_rate: float, slide_factor: float) -> np.ndarray:
     """True-delay axis of a ``bins``-long trace: its compressed time divided
-    by the slide factor.  Checked once, read-only and shared by every profile
-    built on it."""
+    by the slide factor.  Read-only and shared by every profile built on it."""
     axis = np.arange(bins) / sample_rate / slide_factor
-    _check_uniform(axis)
     axis.flags.writeable = False
-    _CHECKED_AXES[id(axis)] = axis
     return axis
 
 
@@ -107,8 +88,12 @@ class PowerDelayProfile:
         d = np.asarray(self.excess_delay_s, dtype=np.float64)
         if p.shape != d.shape or p.ndim != 1:
             raise ConfigError("power and delay axes must be matching 1-D vectors")
-        if _CHECKED_AXES.get(id(d)) is not d:
-            _check_uniform(d)
+        if p.size >= 2:
+            steps = np.diff(d)
+            # np.allclose's test (rtol 1e-9, atol 1e-18) as one reduction; a
+            # NaN step makes the comparison False, so it is rejected too.
+            if not np.abs(steps - steps[0]).max() <= 1e-18 + 1e-9 * abs(steps[0]):
+                raise ConfigError("excess delay axis must be uniform")
         object.__setattr__(self, "power_mw", p)
         object.__setattr__(self, "excess_delay_s", d)
 

@@ -322,8 +322,8 @@ def run_campaign(spec: CampaignSpec) -> ResultBundle:
     single: sweep products for one receiver.
     With ``save_pdps`` a location's thresholded PDPs are written as soon as
     its sweep returns; only the reduced ``LocationResult`` is kept.  Every
-    location's channel is checked against the preset before the output
-    directory is created.
+    location's channel is built and checked against the preset before the
+    output directory is created, and its sweep runs on that channel.
     """
     scenario_path = Path(spec.scenario_path)
     sc = load_scenario(scenario_path)
@@ -332,11 +332,12 @@ def run_campaign(spec: CampaignSpec) -> ResultBundle:
         indices = [spec.rx_index]
     else:
         indices = list(range(len(sc.rx_locations)))
+    channels = {}
     for index in indices:  # every check before anything is written
         if not 0 <= index < len(sc.rx_locations):
             raise ConfigError(f"rx_index {index} out of range for {len(sc.rx_locations)} locations")
         try:
-            check_location(sc, index, preset)
+            channels[index] = check_location(sc, index, preset)
         except SimulationError:
             log.error("location %s: channel check failed", sc.rx_locations[index].ident)
             raise
@@ -360,6 +361,7 @@ def run_campaign(spec: CampaignSpec) -> ResultBundle:
                 seed=spec.seed,
                 preset=preset,
                 averages=spec.averages,
+                channel=channels[index],
             )
         except Exception:
             log.error("location %s: sweep failed", rx.ident)

@@ -26,7 +26,6 @@ from .channel import (
     noise_sigma,
     path_coefficients,
     path_terms,
-    ray_paths,
     superpose,
     synthesize_channel,
 )
@@ -156,10 +155,13 @@ def _check_delays(preset: SounderPreset, paths: tuple[PathComponent, ...]) -> No
             )
 
 
-def check_location(sc: ScenarioConfig, rx_index: int, preset: SounderPreset) -> None:
-    """Run the channel check of :func:`receive` on one location without
-    sweeping it, so a campaign can reject a scenario before writing."""
-    _check_delays(preset, ray_paths(sc, rx_index))
+def check_location(sc: ScenarioConfig, rx_index: int, preset: SounderPreset) -> MultipathChannel:
+    """One location's channel, checked as :func:`receive` checks it.  A
+    campaign checks every location this way before it writes anything and
+    hands each channel to :func:`run_sweep`."""
+    channel = synthesize_channel(sc, rx_index)  # checks rx_index first
+    _check_delays(preset, channel.paths)
+    return channel
 
 
 def _folded_psd(preset: SounderPreset, wave: SampledWaveform, noise_psd_dbm_hz: float) -> float:
@@ -200,6 +202,7 @@ def run_sweep(
     seed: int,
     preset: SounderPreset,
     averages: int = 1,
+    channel: MultipathChannel | None = None,
 ) -> SweepSet:
     """One receiver location, ``sweeps`` consecutive azimuth sweeps.
 
@@ -215,10 +218,13 @@ def run_sweep(
     :func:`~corrsounder.pdp.pdp_from_iq` compute, through the same cores:
     what depends only on the location (channel check, delayed probe copies,
     noise level, correlator plan, delay axis) is set up once, the path
-    weights once per spoke, and a capture is array work only.
+    weights once per spoke, and a capture is array work only.  ``channel``
+    is the location's channel from :func:`check_location`; it is built and
+    checked here when not given.
     """
     check_sweep_options(step_deg, sweeps, averages)
-    channel = synthesize_channel(sc, rx_index)  # checks rx_index first
+    if channel is None:
+        channel = check_location(sc, rx_index, preset)
     rx_loc = sc.rx_locations[rx_index]
 
     start = 0.0
@@ -228,7 +234,6 @@ def run_sweep(
     grid = _angle_grid(step_deg, start)
 
     # per location: what receive, correlate_fast and pdp_from_iq set up
-    _check_delays(preset, channel.paths)
     wave = probe_waveform(preset, sc.tx_power_dbm)
     tx_pattern = sc.tx_pattern.pointed(*sc.tx_pointing_for(rx_loc))
     terms = path_terms(wave, channel, tx_pattern)

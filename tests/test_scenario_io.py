@@ -358,6 +358,26 @@ class TestRunCampaign:
         assert info.value is original
         assert "location A: sweep failed" in caplog.text
 
+    def test_each_location_channel_built_once(self, mini_campaign, tmp_path, monkeypatch):
+        # the pre-check's channel is the one the sweep runs on
+        spec, bundle = mini_campaign
+        from dataclasses import replace
+
+        import corrsounder.sweep as sweep
+
+        built = []
+        synthesize = sweep.synthesize_channel
+
+        def counting(sc, rx_index):
+            built.append(rx_index)
+            return synthesize(sc, rx_index)
+
+        monkeypatch.setattr(sweep, "synthesize_channel", counting)
+        again = run_campaign(replace(spec, out_dir=str(tmp_path / "once")))
+        assert built == [0, 1, 2, 3]
+        for name in ("route.csv", "fits.txt"):
+            assert (again.out_dir / name).read_bytes() == (bundle.out_dir / name).read_bytes()
+
     def test_single_kind_requires_rx_index(self, mini_campaign):
         spec, _ = mini_campaign
         from dataclasses import replace
