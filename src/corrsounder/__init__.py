@@ -41,10 +41,7 @@ from .correlator import (
 )
 from .errors import AnalysisError, ConfigError, SimulationError, SounderError
 from .pdp import (
-    DriftModel,
     PowerDelayProfile,
-    align_acquisitions,
-    apply_drift,
     average_pdps,
     estimate_noise_floor,
     pdp_from_iq,
@@ -83,4 +80,4 @@ from .sweep import (
     path_loss,
     run_sweep,
 )
-from .waveform import SampledWaveform, read_waveform, shift_trigger, upsample_chips, write_waveform
+from .waveform import SampledWaveform, read_waveform, upsample_chips, write_waveform

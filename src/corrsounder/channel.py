@@ -55,8 +55,8 @@ def _cross2(a, b) -> float:
 
 def fspl(d: float, f: float) -> float:
     """Free-space path loss 20*log10(4*pi*d*f/c) in dB."""
-    if d <= 0 or f <= 0:
-        raise ConfigError(f"fspl needs positive distance and frequency, got d={d}, f={f}")
+    if not (0.0 < d < math.inf and 0.0 < f < math.inf):
+        raise ConfigError(f"fspl needs finite positive distance and frequency, got d={d}, f={f}")
     return 20.0 * math.log10(4.0 * math.pi * d * f / SPEED_OF_LIGHT)
 
 

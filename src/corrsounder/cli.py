@@ -33,7 +33,14 @@ from .correlator import (
 from .errors import AnalysisError, ConfigError, SounderError
 from .pdp import pdp_from_iq, system_pulse_energy_bins, threshold_pdp, write_pdp_csv
 from .pn import generate_msequence, periodic_autocorrelation, preset as pn_preset
-from .scenario_io import CampaignSpec, emit_plot_data, load_scenario, run_campaign, write_angular_csv
+from .scenario_io import (
+    CampaignSpec,
+    emit_plot_data,
+    load_scenario,
+    read_fit_points,
+    run_campaign,
+    write_angular_csv,
+)
 from .sweep import (
     LinkBudget,
     angular_spectrum,
@@ -193,10 +200,7 @@ def _cmd_campaign(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    points = []
-    with open(args.csv, newline="") as fh:
-        for row in csv.DictReader(fh):
-            points.append((float(row["distance_m"]), float(row["path_loss_db"])))
+    points = read_fit_points(args.csv)
     if not points:
         raise AnalysisError(f"{args.csv}: no data rows")
     fit = ci_fit(points, args.frequency)

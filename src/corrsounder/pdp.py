@@ -1,4 +1,4 @@
-"""Power delay profiles: calibration, thresholding, averaging, drift.
+"""Power delay profiles: calibration, thresholding, averaging.
 
 A PDP is I^2 + Q^2 of a dilated CIR versus true excess delay (the compressed
 time axis divided by the slide factor).  Sample powers are linear milliwatts
@@ -14,7 +14,6 @@ single unit path integrates back to its peak power.
 from __future__ import annotations
 
 import functools
-import logging
 import math
 from dataclasses import dataclass, field, replace
 
@@ -31,20 +30,15 @@ from .errors import AnalysisError, ConfigError
 
 __all__ = [
     "PowerDelayProfile",
-    "DriftModel",
     "pdp_from_iq",
     "average_pdps",
     "estimate_noise_floor",
     "noise_window_start",
     "threshold_pdp",
-    "apply_drift",
-    "align_acquisitions",
     "write_pdp_csv",
     "pulse_energy_bins",
     "system_pulse_energy_bins",
 ]
-
-log = logging.getLogger(__name__)
 
 #: Bins below max(peak - PEAK_WINDOW_DB, floor + SNR_MARGIN_DB) are zeroed.
 PEAK_WINDOW_DB = 20.0
@@ -216,79 +210,6 @@ def system_pulse_energy_bins(preset: SounderPreset) -> float:
     out = threshold_pdp(pdp_from_iq(cir, pulse_bins=1.0))
     peak = 10.0 ** (out.peak_power_dbm / 10.0)
     return float(out.power_mw.sum() / peak)
-
-
-@dataclass(frozen=True)
-class DriftModel:
-    """Relative frequency offset between the TX and RX reference clocks."""
-
-    fractional_frequency_offset: float = 0.0
-    training_state: str = "trained"  # trained | free_running
-    time_since_sync_s: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.training_state not in ("trained", "free_running"):
-            raise ConfigError("training_state must be 'trained' or 'free_running'")
-        if self.training_state == "trained" and self.fractional_frequency_offset != 0.0:
-            raise ConfigError("a trained reference has zero frequency offset")
-
-
-def apply_drift(
-    acquisitions: list[DilatedCir], dm: DriftModel, inter_acquisition_gap_s: float
-) -> list[DilatedCir]:
-    """Shift the k-th acquisition by k * gap * offset of true time.
-
-    Each acquisition is internally time coherent; drift only accumulates
-    between captures.  True-time shifts map onto the compressed axis through
-    the slide factor and are applied as integer circular sample shifts.
-    """
-    if inter_acquisition_gap_s < 0:
-        raise ConfigError("inter-acquisition gap must be non-negative")
-    out = []
-    for k, cir in enumerate(acquisitions):
-        true_shift = k * inter_acquisition_gap_s * dm.fractional_frequency_offset
-        samples = int(round(true_shift * cir.slide_factor * cir.sample_rate))
-        if samples == 0:
-            out.append(cir)
-        else:
-            out.append(
-                replace(
-                    cir,
-                    i_channel=np.roll(cir.i_channel, samples),
-                    q_channel=np.roll(cir.q_channel, samples),
-                )
-            )
-    return out
-
-
-def align_acquisitions(pdps: list[PowerDelayProfile]) -> list[PowerDelayProfile]:
-    """Put all strongest-path peaks on the timebase of the strongest capture.
-
-    Each signal-bearing PDP is circularly shifted by an integer bin count so
-    its strongest path lands on the anchor's strongest-path bin (residual
-    error at most one bin).  Signal-free profiles pass through unchanged.
-    """
-    floors = []
-    for p in pdps:
-        floor = p.noise_floor_dbm if p.noise_floor_dbm is not None else estimate_noise_floor(p)
-        floors.append(floor)
-    detectable = [
-        i
-        for i, (p, floor) in enumerate(zip(pdps, floors))
-        if p.peak_power_dbm >= floor + SNR_MARGIN_DB
-    ]
-    if len(detectable) < 2:
-        if not detectable:
-            log.warning("alignment skipped: no acquisition above its noise floor")
-        return list(pdps)
-    anchor = max(detectable, key=lambda i: pdps[i].peak_power_dbm)
-    anchor_bin = int(np.argmax(pdps[anchor].power_mw))
-    out = list(pdps)
-    for i in detectable:
-        shift = anchor_bin - int(np.argmax(pdps[i].power_mw))
-        if shift:
-            out[i] = replace(pdps[i], power_mw=np.roll(pdps[i].power_mw, shift))
-    return out
 
 
 def _dbm_cells(powers: list[float]) -> list[str]:

@@ -101,25 +101,25 @@ class ChipSequence:
         return len(self)
 
 
-def lfsr_step(state: np.ndarray, spec: LfsrSpec) -> tuple[int, np.ndarray]:
-    """One Fibonacci-LFSR shift.
-
-    Returns the output bit (read from stage ``order``) and the new state.
-    ``state[i]`` holds stage ``i + 1``.
-    """
-    state = np.asarray(state, dtype=np.uint8)
-    if state.shape != (spec.order,):
-        raise ConfigError(f"state must have length {spec.order}")
-    if not state.any():
-        raise ConfigError("all-zero LFSR state is degenerate")
-    out = int(state[-1])
+def _shift(state: tuple[int, ...], taps: frozenset[int]) -> tuple[int, ...]:
     feedback = 0
-    for tap in spec.feedback_taps:
-        feedback ^= int(state[tap - 1])
-    new_state = np.empty_like(state)
-    new_state[0] = feedback
-    new_state[1:] = state[:-1]
-    return out, new_state
+    for tap in taps:
+        feedback ^= state[tap - 1]
+    return (feedback,) + state[:-1]
+
+
+def lfsr_step(state, spec: LfsrSpec) -> tuple[int, tuple[int, ...]]:
+    """One Fibonacci-LFSR shift of any bit sequence.
+
+    Returns the output bit (read from stage ``order``) and the new state as
+    a tuple.  ``state[i]`` holds stage ``i + 1``.
+    """
+    state = tuple(int(b) for b in state)
+    if len(state) != spec.order:
+        raise ConfigError(f"state must have length {spec.order}")
+    if not any(state):
+        raise ConfigError("all-zero LFSR state is degenerate")
+    return state[-1], _shift(state, spec.feedback_taps)
 
 
 def _transition_matrix(spec: LfsrSpec) -> np.ndarray:
@@ -141,23 +141,22 @@ def generate_msequence(spec: LfsrSpec) -> ChipSequence:
     The result is cached per spec and shared (chips are read-only).
     """
     n = spec.period
-    state = np.asarray(spec.seed, dtype=np.uint8)
-    seed = state.copy()
-    bits = np.empty(n, dtype=np.uint8)
+    seed = state = spec.seed
+    bits = bytearray(n)
     for k in range(n):
-        bit, state = lfsr_step(state, spec)
-        bits[k] = bit
-        if k < n - 1 and np.array_equal(state, seed):
+        bits[k] = state[-1]
+        state = _shift(state, spec.feedback_taps)
+        if k < n - 1 and state == seed:
             raise ConfigError(
                 f"feedback taps {sorted(spec.feedback_taps)} are not primitive for "
                 f"order {spec.order}: period {k + 1} < {n}"
             )
-    if not np.array_equal(state, seed):
+    if state != seed:
         raise ConfigError(
             f"LFSR did not return to its seed after {n} steps; "
             "seed does not lie on the maximal cycle"
         )
-    return ChipSequence(chips=bits.astype(np.int8) * 2 - 1, spec=spec)
+    return ChipSequence(chips=np.frombuffer(bits, dtype=np.int8) * 2 - 1, spec=spec)
 
 
 def generate_leapforward(spec: LfsrSpec, chips_per_cycle: int) -> ChipSequence:

@@ -1,4 +1,4 @@
-"""Scenario files, campaign execution, result bundles and plot exports.
+"""Scenario and fit-point files, campaigns, result bundles and plot exports.
 
 Scenarios are YAML documents describing the site geometry (walls, diffracting
 building edges, reflector planes), the TX/RX hardware settings and the
@@ -45,6 +45,7 @@ __all__ = [
     "load_scenario",
     "run_campaign",
     "emit_plot_data",
+    "read_fit_points",
     "write_angular_csv",
 ]
 
@@ -116,6 +117,15 @@ def _position(value, default_height: float, where: str) -> tuple[float, float, f
     return _floats(value, 3, where)
 
 
+def _segment(node: dict, where: str) -> tuple[tuple[float, float], tuple[float, float]]:
+    """A wall's or reflector's end points, which must differ: a zero-length
+    segment blocks nothing and mirrors nothing."""
+    start = _floats(_required(node, "start_m", where), 2, f"{where}.start_m")
+    end = _floats(_required(node, "end_m", where), 2, f"{where}.end_m")
+    _require(start != end, f"{where}: start_m equals end_m")
+    return start, end
+
+
 def _pattern(node: dict | None, default: AntennaPattern, where: str) -> AntennaPattern:
     if node is None:
         return default
@@ -185,12 +195,7 @@ def load_scenario(path) -> ScenarioConfig:
     for n, node in enumerate(_entries(env, "walls", "environment")):
         where = f"environment.walls[{n}]"
         _check_keys(node, {"start_m", "end_m"}, where)
-        walls.append(
-            Wall(
-                start_m=_floats(_required(node, "start_m", where), 2, f"{where}.start_m"),
-                end_m=_floats(_required(node, "end_m", where), 2, f"{where}.end_m"),
-            )
-        )
+        walls.append(Wall(*_segment(node, where)))
     wedges = []
     for n, node in enumerate(_entries(env, "wedges", "environment")):
         where = f"environment.wedges[{n}]"
@@ -201,11 +206,7 @@ def load_scenario(path) -> ScenarioConfig:
         where = f"environment.reflectors[{n}]"
         _check_keys(node, {"start_m", "end_m", "loss_db"}, where)
         reflectors.append(
-            Reflector(
-                start_m=_floats(_required(node, "start_m", where), 2, f"{where}.start_m"),
-                end_m=_floats(_required(node, "end_m", where), 2, f"{where}.end_m"),
-                loss_db=_number(node.get("loss_db", 6.0), f"{where}.loss_db"),
-            )
+            Reflector(*_segment(node, where), loss_db=_number(node.get("loss_db", 6.0), f"{where}.loss_db"))
         )
 
     return ScenarioConfig(
@@ -224,6 +225,25 @@ def load_scenario(path) -> ScenarioConfig:
         wedges=tuple(wedges),
         reflectors=tuple(reflectors),
     )
+
+
+def read_fit_points(path) -> list[tuple[float, float]]:
+    """(distance, path loss) pairs from a CSV with ``distance_m`` and
+    ``path_loss_db`` columns; every cell must be a finite number."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            return [
+                tuple(
+                    _number(row[key], f"{path}: line {reader.line_num}: {key}")
+                    for key in ("distance_m", "path_loss_db")
+                )
+                for row in reader
+            ]
+    except KeyError as exc:
+        raise ConfigError(f"{path}: missing column {exc}") from None
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"{path}: unreadable CSV: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -527,60 +547,61 @@ def _write_bundle(bundle: ResultBundle) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _plot_rows(doc: dict, kind: str) -> tuple[str, list[list[str]]]:
+    """File name and rows, header first, of one plot kind of a bundle.json."""
+    if kind == "route":
+        return "route_power.csv", [["position_m", "omni_dBm"]] + [
+            [f"{loc['route_position_m']:.6f}", f"{loc['omni_dbm']:.6f}"]
+            for loc in sorted(doc["locations"], key=lambda l: l["route_position_m"])
+            if loc["omni_dbm"] is not None
+        ]
+    if kind != "pathloss":
+        raise ConfigError(f"unknown plot kind {kind!r}; choose pathloss or route")
+    if not doc["fits"]:
+        raise AnalysisError("bundle holds no CI fits; pathloss plot data unavailable")
+    rows = [["series", "distance_m", "log10_distance", "path_loss_dB"]]
+    measured = [loc for loc in doc["locations"] if loc["path_loss_db"] is not None]
+    for loc in measured:
+        rows.append(
+            [
+                f"point-{loc['label']}",
+                f"{loc['distance_m']:.6f}",
+                f"{math.log10(loc['distance_m']):.6f}",
+                f"{loc['path_loss_db']:.6f}",
+            ]
+        )
+    lo, hi = min(loc["distance_m"] for loc in measured), max(loc["distance_m"] for loc in measured)
+    for label, fit in sorted(doc["fits"].items()):
+        anchor = fspl(fit["d0_m"], fit["frequency_hz"])
+        for n in range(50):
+            d = 10 ** (math.log10(lo) + (math.log10(hi) - math.log10(lo)) * n / 49)
+            pl = anchor + 10.0 * fit["ple"] * math.log10(d / fit["d0_m"])
+            rows.append([f"fit-{label}", f"{d:.6f}", f"{math.log10(d):.6f}", f"{pl:.6f}"])
+    return "pathloss.csv", rows
+
+
 def emit_plot_data(bundle_dir, kind: str, out_dir=None) -> list[Path]:
     """Write plot-ready CSVs from a campaign bundle directory.
 
     pathloss: per-location points plus each CI fit sampled at 50 log-spaced
     distances.  route: omni power versus position along the route.  The
-    polar plot data is the bundle's ``angular/<id>.csv``.
+    polar plot data is the bundle's ``angular/<id>.csv``.  A bundle.json
+    that is not JSON or lacks a field the plot needs is a ConfigError, and
+    then nothing is written.
     """
     bundle_dir = Path(bundle_dir)
     doc_path = bundle_dir / "bundle.json"
     if not doc_path.exists():
         raise AnalysisError(f"{bundle_dir}: no bundle.json; run a campaign first")
-    doc = json.loads(doc_path.read_text())
+    try:
+        name, rows = _plot_rows(json.loads(doc_path.read_text()), kind)
+    except KeyError as exc:
+        raise ConfigError(f"{doc_path}: missing key {exc}") from None
+    # a decode error is a ValueError; a field of the wrong type is one of these
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{doc_path}: malformed bundle: {exc}") from None
     out = Path(out_dir) if out_dir is not None else bundle_dir / "plots"
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
-    if kind == "pathloss":
-        if not doc["fits"]:
-            raise AnalysisError("bundle holds no CI fits; pathloss plot data unavailable")
-        path = out / "pathloss.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["series", "distance_m", "log10_distance", "path_loss_dB"])
-            for loc in doc["locations"]:
-                if loc["path_loss_db"] is None:
-                    continue
-                writer.writerow(
-                    [
-                        f"point-{loc['label']}",
-                        f"{loc['distance_m']:.6f}",
-                        f"{math.log10(loc['distance_m']):.6f}",
-                        f"{loc['path_loss_db']:.6f}",
-                    ]
-                )
-            distances = [loc["distance_m"] for loc in doc["locations"] if loc["path_loss_db"] is not None]
-            lo, hi = min(distances), max(distances)
-            for label, fit in sorted(doc["fits"].items()):
-                anchor = fspl(fit["d0_m"], fit["frequency_hz"])
-                for n in range(50):
-                    d = 10 ** (math.log10(lo) + (math.log10(hi) - math.log10(lo)) * n / 49)
-                    pl = anchor + 10.0 * fit["ple"] * math.log10(d / fit["d0_m"])
-                    writer.writerow(
-                        [f"fit-{label}", f"{d:.6f}", f"{math.log10(d):.6f}", f"{pl:.6f}"]
-                    )
-        written.append(path)
-    elif kind == "route":
-        path = out / "route_power.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["position_m", "omni_dBm"])
-            for loc in sorted(doc["locations"], key=lambda l: l["route_position_m"]):
-                if loc["omni_dbm"] is not None:
-                    writer.writerow([f"{loc['route_position_m']:.6f}", f"{loc['omni_dbm']:.6f}"])
-        written.append(path)
-    else:
-        raise ConfigError(f"unknown plot kind {kind!r}; choose pathloss or route")
-    return written
+    with open(out / name, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return [out / name]

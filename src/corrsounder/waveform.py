@@ -1,13 +1,9 @@
-"""Sampled baseband waveforms: chip upsampling, trigger shifts, low-pass taps.
+"""Sampled baseband waveforms: chip upsampling, low-pass taps, binary export.
 
 Chips are rectangular (zero-order hold): the DAC repeats each chip value
 ``samples_per_chip`` times, so no transmit pulse shaping is applied.  All
 waveforms are complex baseband; IF/LO frequencies of the analog chain are
 carried as metadata only, never modelled.
-
-The trigger marks the start of the code inside the sample buffer and can
-be moved on the clock-period grid only, so shifts that do not land on an
-integer sample count are rejected.
 """
 
 from __future__ import annotations
@@ -15,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +21,6 @@ from .pn import ChipSequence
 __all__ = [
     "SampledWaveform",
     "upsample_chips",
-    "shift_trigger",
     "design_lowpass_taps",
     "write_waveform",
     "read_waveform",
@@ -34,17 +29,15 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class SampledWaveform:
-    """Complex baseband samples with rate, chip-rate and trigger bookkeeping.
+    """Complex baseband samples with rate and chip-rate bookkeeping.
 
     ``period_samples`` is the length of one code period; the buffer holds an
-    integer number of periods and ``trigger_index`` stays in
-    ``[0, period_samples)``.
+    integer number of periods.
     """
 
     samples: np.ndarray
     sample_rate: float
     chip_rate: float
-    trigger_index: int = 0
     period_samples: int = 0
 
     def __post_init__(self) -> None:
@@ -52,23 +45,10 @@ class SampledWaveform:
         if samples.ndim != 1 or samples.size == 0:
             raise ConfigError("samples must be a non-empty 1-D vector")
         object.__setattr__(self, "samples", samples)
-        period = self.period_samples or samples.size
-        object.__setattr__(self, "period_samples", int(period))
-        if not 0 <= self.trigger_index < period:
-            raise ConfigError(
-                f"trigger_index {self.trigger_index} outside [0, {period})"
-            )
+        object.__setattr__(self, "period_samples", int(self.period_samples or samples.size))
 
     def __len__(self) -> int:
         return int(self.samples.size)
-
-    @property
-    def duration(self) -> float:
-        return len(self) / self.sample_rate
-
-    @property
-    def samples_per_chip(self) -> int:
-        return int(round(self.sample_rate / self.chip_rate))
 
 
 def upsample_chips(
@@ -90,28 +70,8 @@ def upsample_chips(
         samples=samples,
         sample_rate=chip_rate * samples_per_chip,
         chip_rate=chip_rate,
-        trigger_index=0,
         period_samples=one.size,
     )
-
-
-def shift_trigger(
-    w: SampledWaveform, increments: int, increment_duration: float
-) -> SampledWaveform:
-    """Move the trigger by ``increments`` steps of ``increment_duration``.
-
-    The step must be an integer number of samples; the trigger wraps modulo
-    one code period.  Samples are untouched.
-    """
-    shift = increments * increment_duration * w.sample_rate
-    if abs(shift - round(shift)) > 1e-9:
-        raise ConfigError(
-            f"{increments} increments of {increment_duration} s make "
-            f"{shift} samples at {w.sample_rate} Hz; trigger shifts must be "
-            "whole samples"
-        )
-    new_index = (w.trigger_index + round(shift)) % w.period_samples
-    return replace(w, trigger_index=int(new_index))
 
 
 #: Cephes' Chebyshev coefficients of exp(-x) I0(x) on [0, 8] (``i0.c``,
@@ -188,7 +148,7 @@ def design_lowpass_taps(cutoff: float, sample_rate: float) -> np.ndarray:
 
 
 _MAGIC = b"CSWF"
-_VERSION = 1
+_VERSION = 2
 
 
 def write_waveform(w: SampledWaveform, path) -> None:
@@ -196,7 +156,6 @@ def write_waveform(w: SampledWaveform, path) -> None:
     header = {
         "sample_rate": w.sample_rate,
         "chip_rate": w.chip_rate,
-        "trigger_index": w.trigger_index,
         "period_samples": w.period_samples,
         "count": len(w),
     }
@@ -227,6 +186,5 @@ def read_waveform(path) -> SampledWaveform:
         samples=samples,
         sample_rate=header["sample_rate"],
         chip_rate=header["chip_rate"],
-        trigger_index=header["trigger_index"],
         period_samples=header["period_samples"],
     )

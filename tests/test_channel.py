@@ -43,6 +43,11 @@ class TestFspl:
         with pytest.raises(ConfigError):
             fspl(1.0, -1.0)
 
+    @pytest.mark.parametrize("d, f", [(math.nan, 1e9), (1.0, math.nan), (math.inf, 1e9), (1.0, math.inf)])
+    def test_rejects_non_finite(self, d, f):
+        with pytest.raises(ConfigError, match="finite positive"):
+            fspl(d, f)
+
     def test_speed_of_light_is_scipy_value(self):
         assert SPEED_OF_LIGHT == C
 

@@ -15,11 +15,8 @@ from corrsounder.correlator import (
 )
 from corrsounder.errors import AnalysisError, ConfigError
 from corrsounder.pdp import (
-    DriftModel,
     system_pulse_energy_bins,
     PowerDelayProfile,
-    align_acquisitions,
-    apply_drift,
     average_pdps,
     estimate_noise_floor,
     pdp_from_iq,
@@ -217,87 +214,6 @@ class TestThreshold:
         pdp = pdp_from_iq(cir, system_pulse_energy_bins(preset))
         out = threshold_pdp(pdp)
         assert out.total_power_dbm == pytest.approx(out.peak_power_dbm, abs=0.05)
-
-
-class TestDrift:
-    def ramp_cir(self):
-        i = np.zeros(2032)
-        i[300:316] = np.linspace(1.0, 0.1, 16)
-        return make_cir(i, np.zeros(2032))
-
-    def test_trained_model_is_identity(self):
-        cirs = [self.ramp_cir() for _ in range(3)]
-        out = apply_drift(cirs, DriftModel(), 120.0)
-        for a, b in zip(cirs, out):
-            assert np.array_equal(a.i_channel, b.i_channel)
-
-    def test_trained_model_requires_zero_offset(self):
-        with pytest.raises(ConfigError):
-            DriftModel(fractional_frequency_offset=1e-10, training_state="trained")
-
-    def test_shift_arithmetic(self):
-        # 1e-10 over 120 s -> 12 ns true shift per step
-        dm = DriftModel(1e-10, "free_running")
-        cirs = [self.ramp_cir() for _ in range(3)]
-        out = apply_drift(cirs, dm, 120.0)
-        true_shift = 1e-10 * 120.0
-        assert true_shift == pytest.approx(12e-9)
-        expected_bins = round(true_shift * 128.0 * 125e3)
-        got = np.argmax(out[1].i_channel) - np.argmax(out[0].i_channel)
-        assert got == expected_bins
-
-    def test_cross_correlation_lag_matches_model(self):
-        dm = DriftModel(2e-9, "free_running")
-        cirs = [self.ramp_cir(), self.ramp_cir()]
-        out = apply_drift(cirs, dm, 120.0)
-        corr = np.fft.ifft(
-            np.fft.fft(out[1].i_channel) * np.conj(np.fft.fft(out[0].i_channel))
-        ).real
-        lag = np.argmax(corr)
-        expected = round(2e-9 * 120.0 * 128.0 * 125e3)
-        assert abs(lag - expected) <= 1
-
-
-class TestAlignment:
-    def pdp_with_peak(self, bin_, peak=1e-6, floor=1e-12, n=2032, seed=0):
-        rng = np.random.default_rng(seed)
-        power = rng.exponential(floor, size=n)
-        power[bin_] = peak
-        return make_pdp(power)
-
-    def test_drifted_copies_realigned(self):
-        pdps = [self.pdp_with_peak(300 + 7 * k, seed=k) for k in range(4)]
-        out = align_acquisitions(pdps)
-        peaks = [int(np.argmax(p.power_mw)) for p in out]
-        assert len(set(peaks)) == 1
-
-    def test_single_acquisition_passthrough(self):
-        pdp = self.pdp_with_peak(100)
-        out = align_acquisitions([pdp])
-        assert out[0] is pdp
-
-    def test_signal_free_set_unchanged_with_warning(self, caplog):
-        rng = np.random.default_rng(1)
-        # flat profiles: nothing pokes 5 dB above the floor
-        pdps = [make_pdp(1e-12 * (1 + 0.01 * rng.random(2032))) for _ in range(3)]
-        with caplog.at_level("WARNING"):
-            out = align_acquisitions(pdps)
-        assert all(a is b for a, b in zip(pdps, out))
-        assert "alignment skipped" in caplog.text
-
-    def test_drift_then_align_round_trip(self):
-        # offsets up to 1e-9: modelled shift applied on the compressed grid,
-        # then strongest-path alignment recovers peak coincidence to <= 1 bin
-        i = np.zeros(2032)
-        i[400:416] = np.linspace(1.0, 0.2, 16)
-        cirs = [make_cir(i, np.zeros(2032)) for _ in range(5)]
-        drifted = apply_drift(cirs, DriftModel(1e-9, "free_running"), 120.0)
-        pdps = [
-            replace(pdp_from_iq(c), noise_floor_dbm=-120.0) for c in drifted
-        ]
-        aligned = align_acquisitions(pdps)
-        peaks = {int(np.argmax(p.power_mw)) for p in aligned}
-        assert max(peaks) - min(peaks) <= 1
 
 
 class TestPdpExport:

@@ -138,6 +138,15 @@ class TestLoadScenario:
         with pytest.raises(ConfigError, match=where):
             load_scenario(path)
 
+    @pytest.mark.parametrize("kind", ["walls", "reflectors"])
+    def test_zero_length_segment_rejected(self, mini_path, tmp_path, kind):
+        path = tmp_path / "degenerate.yaml"
+        path.write_text(mini_path.read_text().replace(
+            "environment: {}", f"environment: {{{kind}: [{{start_m: [10.0, -5.0], end_m: [10.0, -5.0]}}]}}"
+        ))
+        with pytest.raises(ConfigError, match=rf"environment.{kind}\[0\]: start_m equals end_m"):
+            load_scenario(path)
+
     def test_defaults_applied(self, mini_path):
         sc = load_scenario(mini_path)
         assert sc.rx_pattern.boresight_gain_dbi == 20.0
@@ -477,8 +486,9 @@ class TestCli:
             ("carrier_hz: 73.5e+9", "carrier_hz: abc"),
             ("carrier_hz: 73.5e+9", "carrier_hz: -73.5e+9"),
             ("position_m: [20.0, 0.0]", "position_m: [.nan, 0.0]"),
+            ("environment: {}", "environment: {reflectors: [{start_m: [10.0, -5.0], end_m: [10.0, -5.0]}]}"),
         ],
-        ids=["carrier-not-a-number", "carrier-negative", "position-nan"],
+        ids=["carrier-not-a-number", "carrier-negative", "position-nan", "reflector-zero-length"],
     )
     def test_bad_scalar_exit_code(self, mini_path, tmp_path, old, new):
         scenario = tmp_path / "bad.yaml"
@@ -538,6 +548,36 @@ class TestCli:
             "campaign", "--scenario", str(scenario), "--kind", "route", "--out", str(tmp_path / "o"),
         ]) == 2
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "verb, content, message",
+        [
+            ("fit", "distance_m,path_loss_db\n10,abc\n", "line 2: path_loss_db"),
+            ("fit", "a,b\n10,100\n", "missing column 'distance_m'"),
+            ("fit", "distance_m,path_loss_db\n10,100\nnan,120\n", "line 3: distance_m"),
+            ("emit", "{not json", "malformed bundle"),
+            ("emit", '{"fits": {}, "locations": [{"x": 1}]}', "missing key 'route_position_m'"),
+        ],
+        ids=["fit-cell-not-a-number", "fit-header", "fit-cell-nan", "emit-not-json", "emit-missing-key"],
+    )
+    def test_malformed_fit_or_emit_input_exit_code(self, tmp_path, caplog, verb, content, message):
+        if verb == "fit":
+            path = tmp_path / "points.csv"
+            args = ["fit", str(path)]
+        else:
+            path = tmp_path / "bundle.json"
+            args = ["emit", "--bundle", str(tmp_path), "--kind", "route"]
+        path.write_text(content)
+        assert cli_main(args) == 2
+        assert f"{path}: " in caplog.text
+        assert message in caplog.text
+        assert not (tmp_path / "plots").exists()
+
+    @pytest.mark.parametrize("frequency", ["nan", "inf"])
+    def test_fit_non_finite_frequency_exit_code(self, tmp_path, frequency):
+        path = tmp_path / "points.csv"
+        path.write_text("distance_m,path_loss_db\n10,100\n30,115\n")
+        assert cli_main(["fit", str(path), f"--frequency={frequency}"]) == 2
 
     def test_emit_error_exit_code(self, tmp_path):
         assert cli_main(["emit", "--bundle", str(tmp_path), "--kind", "route"]) == 4

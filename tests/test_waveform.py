@@ -1,17 +1,18 @@
+import json
 import os
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from corrsounder.errors import ConfigError
+from corrsounder.errors import ConfigError, SimulationError
 from corrsounder.pn import generate_msequence, preset
 from corrsounder.waveform import (
     _kaiser_i0,
     design_lowpass_taps,
     read_waveform,
-    shift_trigger,
     upsample_chips,
     write_waveform,
 )
@@ -40,7 +41,6 @@ class TestUpsample:
         w = upsample_chips(seq11, 500e6, 4)
         assert w.sample_rate == 2e9
         assert w.period_samples == 8188
-        assert w.trigger_index == 0
 
     def test_periods_tile(self, seq3):
         one = upsample_chips(seq3, 1e6, 4, periods=1)
@@ -60,34 +60,6 @@ class TestUpsample:
     def test_periods_guard(self, seq3):
         with pytest.raises(ConfigError):
             upsample_chips(seq3, 1e6, 2, periods=0)
-
-
-class TestShiftTrigger:
-    def test_8ns_step_at_2gsps(self, seq11):
-        w = upsample_chips(seq11, 500e6, 4)
-        shifted = shift_trigger(w, 1, 8e-9)
-        assert shifted.trigger_index == 16
-        assert np.array_equal(shifted.samples, w.samples)
-
-    def test_zero_is_identity(self, seq3):
-        w = upsample_chips(seq3, 1e6, 4)
-        assert shift_trigger(w, 0, 8e-9).trigger_index == w.trigger_index
-
-    def test_full_period_wraps(self, seq3):
-        w = upsample_chips(seq3, 1e6, 4)
-        period_s = w.period_samples / w.sample_rate
-        assert shift_trigger(w, 1, period_s).trigger_index == w.trigger_index
-
-    def test_composes_additively(self, seq3):
-        w = upsample_chips(seq3, 1e6, 4)
-        a = shift_trigger(shift_trigger(w, 3, 1e-6), 4, 1e-6)
-        b = shift_trigger(w, 7, 1e-6)
-        assert a.trigger_index == b.trigger_index
-
-    def test_non_integer_shift_rejected(self, seq3):
-        w = upsample_chips(seq3, 1e6, 4)  # 4 MS/s
-        with pytest.raises(ConfigError, match="whole samples"):
-            shift_trigger(w, 1, 1e-7)  # 0.4 samples
 
 
 class TestDesignLowpassTaps:
@@ -181,12 +153,20 @@ class TestRuntimeWithoutScipy:
 
 class TestBinaryExport:
     def test_round_trip(self, tmp_path, seq3):
-        w = shift_trigger(upsample_chips(seq3, 1e6, 4, periods=2), 2, 1e-6)
+        w = upsample_chips(seq3, 1e6, 4, periods=2)
         path = tmp_path / "wave.bin"
         write_waveform(w, path)
         back = read_waveform(path)
         assert np.array_equal(back.samples, w.samples)
         assert back.sample_rate == w.sample_rate
         assert back.chip_rate == w.chip_rate
-        assert back.trigger_index == w.trigger_index
-        assert back.period_samples == w.period_samples
+        assert back.period_samples == w.period_samples == len(w) // 2
+
+    def test_other_version_refused(self, tmp_path):
+        # version 1 carried a trigger_index header key; its files are refused
+        blob = json.dumps({"chip_rate": 1e6, "count": 1, "period_samples": 1,
+                           "sample_rate": 4e6, "trigger_index": 0}).encode()
+        path = tmp_path / "old.bin"
+        path.write_bytes(b"CSWF" + struct.pack("<II", 1, len(blob)) + blob + bytes(16))
+        with pytest.raises(SimulationError, match="unsupported waveform version 1"):
+            read_waveform(path)
