@@ -65,9 +65,7 @@ from .scenario_io import (
 from .sweep import (
     ABSENT_POWER_DBM,
     CiFit,
-    DirectionalRecord,
     LinkBudget,
-    SweepSet,
     angular_spectrum,
     averaging_gain_db,
     ci_fit,

@@ -57,7 +57,10 @@ def fspl(d: float, f: float) -> float:
     """Free-space path loss 20*log10(4*pi*d*f/c) in dB."""
     if not (0.0 < d < math.inf and 0.0 < f < math.inf):
         raise ConfigError(f"fspl needs finite positive distance and frequency, got d={d}, f={f}")
-    return 20.0 * math.log10(4.0 * math.pi * d * f / SPEED_OF_LIGHT)
+    ratio = 4.0 * math.pi * d * f / SPEED_OF_LIGHT
+    if not 0.0 < ratio < math.inf:
+        raise ConfigError(f"fspl of d={d}, f={f} is out of float range")
+    return 20.0 * math.log10(ratio)
 
 
 def knife_edge_loss_db(nu: float) -> float:
@@ -120,6 +123,10 @@ class AntennaPattern:
                 raise ConfigError(f"{name} must lie in (0, 180), got {hpbw}")
 
     def pointed(self, az: float, el: float) -> "AntennaPattern":
+        """This pattern with its boresight at azimuth ``az`` and elevation
+        ``el`` (degrees); a non-finite angle is a ``ConfigError``."""
+        if not (math.isfinite(az) and math.isfinite(el)):
+            raise ConfigError(f"pointing must be finite, got azimuth {az}, elevation {el}")
         return replace(self, pointing_az_deg=az % 360.0, pointing_el_deg=el)
 
     @staticmethod
@@ -491,6 +498,9 @@ def apply_channel(
     terms = path_terms(w, ch, tx)
     out = superpose(terms, path_coefficients(terms, rx), len(w))
     if noise_psd_dbm_hz is not None:
-        gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-        add_noise(out, noise_sigma(noise_psd_dbm_hz, w.sample_rate), gen)
+        if not isinstance(rng, np.random.Generator):
+            if rng is not None and rng < 0:  # numpy's seeding would raise ValueError
+                raise ConfigError(f"noise seed must be non-negative, got {rng}")
+            rng = np.random.default_rng(rng)
+        add_noise(out, noise_sigma(noise_psd_dbm_hz, w.sample_rate), rng)
     return replace(w, samples=out)

@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Verbs: ``pn`` (generate/inspect codes), ``simulate`` (single link),
-``sweep`` (one receiver azimuth sweep), ``campaign`` (route/cluster/single),
+``campaign`` (route/cluster/single; ``--kind single`` sweeps one receiver),
 ``fit`` (CI fit on an external CSV), ``budget`` (link-budget calculator),
-``emit`` (plot-ready CSVs from a campaign bundle).
+``emit`` (plot-ready CSVs from a campaign bundle), ``info`` (preset timing).
 
 Exit codes: 0 success, 2 configuration error, 3 simulation error,
 4 analysis error.
@@ -39,20 +39,16 @@ from .scenario_io import (
     load_scenario,
     read_fit_points,
     run_campaign,
-    write_angular_csv,
 )
 from .sweep import (
     LinkBudget,
-    angular_spectrum,
     averaging_gain_db,
     ci_fit,
     eirp,
     max_measurable_path_loss,
     noise_floor_dbm,
-    omni_power,
     probe_waveform,
     receive,
-    run_sweep,
 )
 
 log = logging.getLogger(__name__)
@@ -141,32 +137,6 @@ def _cmd_simulate(args) -> int:
             write_waveform(received, out / "received.bin")
             written += " and received.bin"
         print(f"{written} written to {out}")
-    return 0
-
-
-def _cmd_sweep(args) -> int:
-    sc = load_scenario(_resolve_scenario(args.scenario))
-    preset = get_preset(args.preset)
-    ss = run_sweep(
-        sc,
-        args.rx_index,
-        step_deg=args.step_deg,
-        sweeps=args.sweeps,
-        seed=args.seed,
-        preset=preset,
-        averages=args.averages,
-    )
-    omni = omni_power(ss)
-    print(f"{ss.rx_ident}: omni {omni if omni is None else f'{omni:.2f} dBm'}")
-    spectrum = angular_spectrum(ss)
-    for az, power in spectrum:
-        print(f"  az {az:5.1f} deg: {power:9.2f} dBm")
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / f"angular_{ss.rx_ident}.csv"
-        write_angular_csv(spectrum, path)
-        print(f"angular spectrum written to {path}")
     return 0
 
 
@@ -280,17 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the correlated record as binary: one code period "
                         "on the fast path, the whole dilated record with --literal")
     p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("sweep", help="azimuth sweep for one receiver")
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--rx-index", type=int, default=0)
-    p.add_argument("--step-deg", type=float, default=15.0)
-    p.add_argument("--sweeps", type=int, default=5)
-    p.add_argument("--averages", type=int, default=1)
-    p.add_argument("--preset", choices=["desk", "full"], default="desk")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("campaign", help="run a route/cluster/single campaign")
     p.add_argument("--scenario", required=True)

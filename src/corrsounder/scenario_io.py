@@ -270,6 +270,8 @@ class CampaignSpec:
             raise ConfigError(f"campaign kind must be one of {_CAMPAIGN_KINDS}, got {self.kind!r}")
         if self.kind == "single" and self.rx_index is None:
             raise ConfigError("single campaigns need rx_index")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not (math.isfinite(self.speed_mps) and self.speed_mps > 0.0):
             raise ConfigError(f"speed_mps must be finite and positive, got {self.speed_mps}")
         check_sweep_options(self.step_deg, self.sweeps, self.averages)
@@ -340,8 +342,8 @@ def run_campaign(spec: CampaignSpec) -> ResultBundle:
     fading rate over the route and one CI fit plus power std per condition.
     cluster: received-power standard deviation per location group.
     single: sweep products for one receiver.
-    With ``save_pdps`` a location's thresholded PDPs are written as soon as
-    its sweep returns; only the reduced ``LocationResult`` is kept.  Every
+    With ``save_pdps`` each thresholded PDP is written as its sweep makes it
+    and then dropped; only the reduced ``LocationResult`` is kept.  Every
     location's channel is built and checked against the preset before the
     output directory is created, and its sweep runs on that channel.
     """
@@ -368,12 +370,16 @@ def run_campaign(spec: CampaignSpec) -> ResultBundle:
     if spec.save_pdps:
         pdp_dir.mkdir(exist_ok=True)
 
+    def save_pdp(pdp) -> None:
+        meta = pdp.metadata
+        write_pdp_csv(pdp, pdp_dir / f"{meta['location']}_az{meta['angle']:05.1f}_s{meta['sweep']}.csv")
+
     route_pos = _route_positions(sc)
     locations: list[LocationResult] = []
     for index in indices:
         rx = sc.rx_locations[index]
         try:
-            ss = run_sweep(
+            spokes = run_sweep(
                 sc,
                 index,
                 step_deg=spec.step_deg,
@@ -382,15 +388,12 @@ def run_campaign(spec: CampaignSpec) -> ResultBundle:
                 preset=preset,
                 averages=spec.averages,
                 channel=channels[index],
+                pdp_sink=save_pdp if spec.save_pdps else None,
             )
         except Exception:
             log.error("location %s: sweep failed", rx.ident)
             raise
-        if spec.save_pdps:
-            for record in ss.records:
-                for s, pdp in enumerate(record.pdps):
-                    write_pdp_csv(pdp, pdp_dir / f"{rx.ident}_az{record.rx_azimuth_deg:05.1f}_s{s}.csv")
-        omni = omni_power(ss)
+        omni = omni_power(spokes)
         locations.append(
             LocationResult(
                 ident=rx.ident,
@@ -406,7 +409,7 @@ def run_campaign(spec: CampaignSpec) -> ResultBundle:
                     omni, sc.tx_power_dbm, sc.tx_pattern.boresight_gain_dbi,
                     sc.rx_pattern.boresight_gain_dbi,
                 ),
-                spectrum=angular_spectrum(ss),
+                spectrum=angular_spectrum(spokes),
             )
         )
 

@@ -3,14 +3,15 @@
 ``run_sweep`` reproduces the measurement procedure: the receive horn steps
 around the azimuth circle in HPBW increments, several identical sweeps are
 recorded per location, and each acquisition runs through the correlator and
-PDP pipeline.  Analysis operations then reduce sweep sets to omnidirectional
-power, path loss, close-in-reference fits, local-area statistics and fading
-rates.
+PDP pipeline.  Analysis operations then reduce each spoke's best directional
+power to omnidirectional power, path loss, close-in-reference fits,
+local-area statistics and fading rates.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,12 +48,11 @@ from .pdp import (
 from .waveform import SampledWaveform
 
 __all__ = [
-    "DirectionalRecord",
-    "SweepSet",
     "CiFit",
     "LinkBudget",
     "ABSENT_POWER_DBM",
     "MAX_AZIMUTH_SPOKES",
+    "MAX_LOCATION_CAPTURES",
     "check_sweep_options",
     "check_location",
     "probe_waveform",
@@ -77,38 +77,16 @@ ABSENT_POWER_DBM = -250.0
 #: rejected rather than scheduling millions of acquisitions per location.
 MAX_AZIMUTH_SPOKES = 3600
 
-
-@dataclass(frozen=True, eq=False)
-class DirectionalRecord:
-    """All sweeps' thresholded PDPs for one receive pointing azimuth."""
-
-    rx_azimuth_deg: float
-    pdps: tuple[PowerDelayProfile, ...]
-    best_power_dbm: float | None = None
-
-    @staticmethod
-    def from_pdps(azimuth: float, pdps: list[PowerDelayProfile]) -> "DirectionalRecord":
-        powers = [p.total_power_dbm for p in pdps if p.total_power_dbm is not None]
-        return DirectionalRecord(
-            rx_azimuth_deg=azimuth % 360.0,
-            pdps=tuple(pdps),
-            best_power_dbm=max(powers) if powers else None,
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class SweepSet:
-    """Per-angle directional records for one TX-RX combination."""
-
-    records: tuple[DirectionalRecord, ...]
-    rx_ident: str
+#: Most captures (spokes x sweeps x averages) one location may schedule: the
+#: paper's five sweeps of 20 averaged captures on the finest grid.
+MAX_LOCATION_CAPTURES = MAX_AZIMUTH_SPOKES * 5 * 20
 
 
 def check_sweep_options(step_deg: float, sweeps: int, averages: int) -> None:
     """Reject sweep options no sweep can run with, as ``ConfigError``: the
     azimuth step must lie in (0, 360], divide the full turn into at most
-    ``MAX_AZIMUTH_SPOKES`` spokes, and there must be at least one sweep and
-    one capture per average."""
+    ``MAX_AZIMUTH_SPOKES`` spokes, there must be at least one sweep and one
+    capture per average, and at most ``MAX_LOCATION_CAPTURES`` captures."""
     if sweeps < 1:
         raise ConfigError("sweeps must be >= 1")
     if averages < 1:
@@ -122,6 +100,11 @@ def check_sweep_options(step_deg: float, sweeps: int, averages: int) -> None:
         raise ConfigError(
             f"azimuth step {step_deg} gives {round(spokes)} spokes, more than "
             f"{MAX_AZIMUTH_SPOKES} (a step finer than 0.1 degree)"
+        )
+    if round(spokes) * sweeps * averages > MAX_LOCATION_CAPTURES:
+        raise ConfigError(
+            f"{round(spokes)} spokes x {sweeps} sweeps x {averages} averages is more than "
+            f"{MAX_LOCATION_CAPTURES} captures per location"
         )
 
 
@@ -202,29 +185,33 @@ def run_sweep(
     seed: int,
     preset: SounderPreset,
     averages: int = 1,
-    channel: MultipathChannel | None = None,
-) -> SweepSet:
+    *,
+    channel: MultipathChannel,
+    pdp_sink: Callable[[PowerDelayProfile], None] | None = None,
+) -> list[tuple[float, float | None]]:
     """One receiver location, ``sweeps`` consecutive azimuth sweeps.
 
     The angle grid starts at the spoke nearest the strongest path's arrival
     azimuth (the operator's best-pointing convention); power analyses are
     invariant to that rotation.  Each (angle, sweep) acquisition applies the
     channel with independently seeded noise, correlates, averages
-    ``averages`` captures non-coherently and thresholds the result.  Angles
-    whose thresholded PDP keeps no sample are recorded as signal-absent.
+    ``averages`` captures non-coherently and thresholds the result.
 
     Every capture computes exactly what :func:`receive`,
     :func:`~corrsounder.correlator.correlate_fast` and
     :func:`~corrsounder.pdp.pdp_from_iq` compute, through the same cores:
-    what depends only on the location (channel check, delayed probe copies,
-    noise level, correlator plan, delay axis) is set up once, the path
-    weights once per spoke, and a capture is array work only.  ``channel``
-    is the location's channel from :func:`check_location`; it is built and
-    checked here when not given.
+    what depends only on the location (delayed probe copies, noise level,
+    correlator plan, delay axis) is set up once, the path weights once per
+    spoke, and a capture is array work only.  ``channel`` is the location's
+    channel, built and checked by :func:`check_location`.
+
+    Each thresholded PDP goes to ``pdp_sink``, when given, in (spoke, sweep)
+    order and is then dropped, so memory does not grow with the spoke or
+    sweep count.  Returns one ``(azimuth, best_power_dbm)`` pair per spoke
+    in grid order: the strongest total power over its sweeps, or None when
+    no sweep kept a sample (a signal-absent spoke).
     """
     check_sweep_options(step_deg, sweeps, averages)
-    if channel is None:
-        channel = check_location(sc, rx_index, preset)
     rx_loc = sc.rx_locations[rx_index]
 
     start = 0.0
@@ -246,12 +233,12 @@ def run_sweep(
     )
     pulse_bins = system_pulse_energy_bins(preset)
 
-    records = []
+    spokes = []
     for ai, azimuth in enumerate(grid):
         coefficients = path_coefficients(
             terms, sc.rx_pattern.pointed(azimuth, sc.rx_elevation_deg)
         )
-        per_sweep: list[PowerDelayProfile] = []
+        totals = []
         for s in range(sweeps):
             powers = []
             for a in range(averages):
@@ -264,22 +251,25 @@ def run_sweep(
             if averages > 1:  # average_pdps's mean and tag
                 metadata["averaged"] = averages
             power = powers[0] if averages == 1 else np.mean(powers, axis=0)
-            per_sweep.append(threshold_pdp(PowerDelayProfile(
+            pdp = threshold_pdp(PowerDelayProfile(
                 power_mw=power, excess_delay_s=axis, pulse_bins=pulse_bins, metadata=metadata
-            )))
-        records.append(DirectionalRecord.from_pdps(azimuth, per_sweep))
+            ))
+            if pdp_sink is not None:
+                pdp_sink(pdp)
+            if pdp.total_power_dbm is not None:
+                totals.append(pdp.total_power_dbm)
+        spokes.append((azimuth, max(totals) if totals else None))
+    return spokes
 
-    return SweepSet(records=tuple(records), rx_ident=rx_loc.ident)
 
+def omni_power(spokes: list[tuple[float, float | None]]) -> float | None:
+    """Linear sum of the per-spoke best directional powers, in dBm.
 
-def omni_power(ss: SweepSet) -> float | None:
-    """Linear sum of the per-angle best directional powers, in dBm.
-
-    Returns None when no angle carries signal.  Adjacent-beam overlap is not
+    Returns None when no spoke carries signal.  Adjacent-beam overlap is not
     corrected for; the documented upward bias is bounded by the pattern's
     sidelobe floor.
     """
-    powers = [r.best_power_dbm for r in ss.records if r.best_power_dbm is not None]
+    powers = [power for _, power in spokes if power is not None]
     if not powers:
         return None
     return 10.0 * math.log10(sum(10.0 ** (p / 10.0) for p in powers))
@@ -395,6 +385,9 @@ class LinkBudget:
         for name in self.__dataclass_fields__:
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"link budget field {name} must be finite")
+        # EIRP is the sum's first two terms, so this covers it too
+        if not math.isfinite(max_measurable_path_loss(self)):
+            raise ConfigError("link budget terms overflow a float")
 
     @staticmethod
     def full_preset_budget() -> "LinkBudget":
@@ -422,7 +415,7 @@ def averaging_gain_db(count: int) -> float:
     """Non-coherent averaging SNR improvement, 10 log10(sqrt(count))."""
     if count < 1:
         raise ConfigError("averaging count must be >= 1")
-    return 10.0 * math.log10(math.sqrt(count))
+    return 5.0 * math.log10(count)  # log10 takes an int of any size
 
 
 def max_measurable_path_loss(lb: LinkBudget) -> float:
@@ -437,10 +430,8 @@ def max_measurable_path_loss(lb: LinkBudget) -> float:
     )
 
 
-def angular_spectrum(ss: SweepSet) -> list[tuple[float, float]]:
+def angular_spectrum(spokes: list[tuple[float, float | None]]) -> list[tuple[float, float]]:
     """Per-angle best power table; absent angles carry the floor sentinel."""
-    table = [
-        (r.rx_azimuth_deg, r.best_power_dbm if r.best_power_dbm is not None else ABSENT_POWER_DBM)
-        for r in ss.records
-    ]
-    return sorted(table)
+    return sorted(
+        (az, ABSENT_POWER_DBM if power is None else power) for az, power in spokes
+    )

@@ -48,6 +48,12 @@ class TestFspl:
         with pytest.raises(ConfigError, match="finite positive"):
             fspl(d, f)
 
+    @pytest.mark.parametrize("f", [1.5e307, 5e-324], ids=["overflow", "underflow"])
+    def test_rejects_out_of_float_range(self, f):
+        # 4 pi d f / c must be a positive finite float for its log
+        with pytest.raises(ConfigError, match="out of float range"):
+            fspl(1.0, f)
+
     def test_speed_of_light_is_scipy_value(self):
         assert SPEED_OF_LIGHT == C
 

@@ -22,7 +22,7 @@ from corrsounder.correlator import (
 )
 from corrsounder.pdp import PowerDelayProfile, pdp_from_iq, threshold_pdp, write_pdp_csv
 from corrsounder.scenario_io import load_scenario
-from corrsounder.sweep import receive, run_sweep
+from corrsounder.sweep import check_location, receive, run_sweep
 
 
 def _dbm(power_mw: float) -> float:
@@ -103,8 +103,12 @@ def full_cir(full):
 class TestPdpCsvOracle:
     def test_desk_sweep_pdps(self, tmp_path):
         sc = load_scenario(shipped_scenario_path("corner_clusters"))
-        ss = run_sweep(sc, 0, step_deg=90.0, sweeps=2, seed=5, preset=desk_preset())
-        pdps = [p for r in ss.records for p in r.pdps]
+        desk = desk_preset()
+        pdps = []
+        run_sweep(
+            sc, 0, step_deg=90.0, sweeps=2, seed=5, preset=desk,
+            channel=check_location(sc, 0, desk), pdp_sink=pdps.append,
+        )
         assert len(pdps) == 8 and all(len(p) <= CSV_BLOCK_ROWS for p in pdps)
         # the first write formats the shared delay column, the others reuse it
         for pdp in pdps:

@@ -1,8 +1,11 @@
+import contextlib
 import copy
 import csv
 import hashlib
+import io
 import json
 import math
+import shutil
 from pathlib import Path
 
 import pytest
@@ -500,16 +503,37 @@ class TestCli:
         ]) == 2
         assert not (tmp_path / "o").exists()
 
-    def test_sweep_rx_index_out_of_range_exit_code(self):
-        assert cli_main(["sweep", "--scenario", "corner_route", "--rx-index", "99"]) == 2
+    def test_simulate_rx_index_out_of_range_exit_code(self, tmp_path):
+        out = tmp_path / "sim"
+        assert cli_main([
+            "simulate", "--scenario", "corner_route", "--rx-index", "99", "--out", str(out),
+        ]) == 2
+        assert not out.exists()
 
-    @pytest.mark.parametrize("verb", ["sweep", "campaign"])
+    def test_simulate_negative_seed_exit_code(self, tmp_path):
+        out = tmp_path / "sim"
+        assert cli_main([
+            "simulate", "--scenario", "corner_route", "--rx-index", "3", "--seed=-1", "--out", str(out),
+        ]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rx_az", ["nan", "inf", "-inf"])
+    def test_bad_rx_az_exit_code(self, tmp_path, capsys, rx_az):
+        out = tmp_path / "sim"
+        assert cli_main([
+            "simulate", "--scenario", "corner_route", "--rx-index", "3",
+            f"--rx-az={rx_az}", "--out", str(out),
+        ]) == 2
+        assert "peak" not in capsys.readouterr().out
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["campaign"])
     @pytest.mark.parametrize("step", ["0", "-90", "nan", "inf", "1e-7"])
     def test_bad_step_exit_code(self, mini_path, tmp_path, verb, step):
+        out = tmp_path / "o"
         args = [verb, "--scenario", str(mini_path), f"--step-deg={step}", "--sweeps", "1"]
-        if verb == "campaign":
-            args += ["--kind", "route", "--out", str(tmp_path / "o")]
-        assert cli_main(args) == 2
+        assert cli_main([*args, "--kind", "route", "--out", str(out)]) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "extra",
@@ -517,8 +541,10 @@ class TestCli:
             ["--kind", "single", "--rx-index", "99"],
             ["--kind", "route", "--speed", "nan"],
             ["--kind", "route", "--speed=-35"],
+            ["--kind", "route", "--seed=-1"],
+            ["--kind", "route", "--sweeps", str(10**30)],
         ],
-        ids=["rx-index-out-of-range", "speed-nan", "speed-negative"],
+        ids=["rx-index-out-of-range", "speed-nan", "speed-negative", "seed-negative", "sweeps-huge"],
     )
     def test_bad_campaign_input_exit_code(self, mini_path, tmp_path, extra):
         assert cli_main(["campaign", "--scenario", str(mini_path), *extra, "--out", str(tmp_path / "o")]) == 2
@@ -643,21 +669,70 @@ class TestCli:
         assert cli_main([*args, "--preset", "full"]) == 3
         assert not out.exists()
 
-    def test_sweep_smoke(self, tmp_path, capsys):
-        scenario = tmp_path / "mini.yaml"
-        scenario.write_text(MINI_SCENARIO.replace("label: far-ish", "label: los"))
-        assert cli_main([
-            "sweep", "--scenario", str(scenario), "--rx-index", "1",
-            "--step-deg", "90", "--sweeps", "1",
-        ]) == 0
-        assert "omni" in capsys.readouterr().out
 
-    def test_sweep_out_matches_single_campaign_angular_csv(self, mini_path, tmp_path):
-        common = ["--scenario", str(mini_path), "--rx-index", "2", "--step-deg", "90",
-                  "--sweeps", "2", "--seed", "4"]
-        assert cli_main(["sweep", *common, "--out", str(tmp_path / "sweep")]) == 0
-        assert cli_main([
-            "campaign", "--kind", "single", *common, "--out", str(tmp_path / "bundle"),
-        ]) == 0
-        swept = (tmp_path / "sweep" / "angular_C.csv").read_bytes()
-        assert swept == (tmp_path / "bundle" / "angular" / "C.csv").read_bytes()
+#: Numeric flag text: zero and small values, negative and huge ones of any
+#: size, and floats of every kind (non-finite, subnormal, huge) for the
+#: float flags.
+_INT_TEXT = st.one_of(
+    st.integers(-2, 5), st.integers(max_value=-1), st.integers(min_value=10**9)
+).map(str)
+_FLOAT_TEXT = st.one_of(_INT_TEXT, st.floats().map(str), st.sampled_from(["-0", "1e999", "-1e999"]))
+
+#: Per verb: the arguments that keep a run cheap, then its numeric flags.
+_ARGV_FUZZ = {
+    "simulate": (
+        ["--scenario", "corner_route"],
+        {"--rx-index": _INT_TEXT, "--rx-az": _FLOAT_TEXT, "--seed": _INT_TEXT},
+    ),
+    "campaign": (
+        ["--scenario", "corner_route", "--kind", "single", "--rx-index", "3",
+         "--step-deg", "90", "--sweeps", "1"],
+        {
+            "--rx-index": _INT_TEXT, "--step-deg": _FLOAT_TEXT, "--sweeps": _INT_TEXT,
+            "--averages": _INT_TEXT, "--seed": _INT_TEXT, "--speed": _FLOAT_TEXT,
+        },
+    ),
+    "budget": (
+        [],
+        {
+            flag: _FLOAT_TEXT
+            for flag in ("--tx-power", "--tx-gain", "--rx-gain", "--slide-factor",
+                         "--bandwidth", "--noise-figure", "--snr")
+        } | {"--averages": _INT_TEXT},
+    ),
+    "fit": ([], {"--frequency": _FLOAT_TEXT}),
+    "pn": ([], {"--order": _INT_TEXT}),
+}
+
+
+class TestCliArgvFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_numeric_flags_exit_cleanly(self, fuzz_dir, data):
+        # any value of any numeric flag ends in a documented exit code,
+        # prints no NaN, and a failed run leaves no output directory
+        verb = data.draw(st.sampled_from(sorted(_ARGV_FUZZ)), label="verb")
+        base, flags = _ARGV_FUZZ[verb]
+        chosen = data.draw(st.lists(st.sampled_from(sorted(flags)), min_size=1, unique=True), label="flags")
+        argv = [verb, *base]
+        for flag in chosen:
+            argv.append(f"{flag}={data.draw(flags[flag], label=flag)}")
+        out = fuzz_dir / "argv-out"
+        if out.exists():
+            shutil.rmtree(out)
+        if verb == "fit":
+            points = fuzz_dir / "points.csv"
+            points.write_text("distance_m,path_loss_db\n10,100\n30,115\n")
+            argv.append(str(points))
+        elif verb in ("simulate", "campaign"):
+            argv += ["--out", str(out)]
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            try:
+                code = cli_main(argv)
+            except SystemExit as exc:  # argparse refuses the text
+                code = exc.code
+        assert code in (0, 2, 3, 4), argv
+        assert "nan" not in stdout.getvalue().lower(), argv
+        if code != 0:
+            assert not out.exists(), argv

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,11 +26,11 @@ from corrsounder.errors import AnalysisError, ConfigError, SimulationError
 from corrsounder.sweep import (
     ABSENT_POWER_DBM,
     MAX_AZIMUTH_SPOKES,
-    DirectionalRecord,
+    MAX_LOCATION_CAPTURES,
     LinkBudget,
-    SweepSet,
     angular_spectrum,
     averaging_gain_db,
+    check_location,
     check_sweep_options,
     ci_fit,
     eirp,
@@ -45,33 +46,32 @@ from corrsounder.sweep import (
 )
 
 
-def sweep_set(best_powers: dict[float, float | None]) -> SweepSet:
-    records = tuple(
-        DirectionalRecord(rx_azimuth_deg=az, pdps=(), best_power_dbm=power)
-        for az, power in best_powers.items()
+def sweep(sc: ScenarioConfig, rx_index: int, preset, **options) -> list[tuple[float, float | None]]:
+    """run_sweep on the location's checked channel, as a campaign runs it."""
+    return run_sweep(
+        sc, rx_index, preset=preset, channel=check_location(sc, rx_index, preset), **options
     )
-    return SweepSet(records=records, rx_ident="T")
 
 
 class TestOmniPower:
     def test_single_angle(self):
-        assert omni_power(sweep_set({0.0: -70.0, 90.0: None})) == pytest.approx(-70.0)
+        assert omni_power([(0.0, -70.0), (90.0, None)]) == pytest.approx(-70.0)
 
     def test_two_equal_angles_gain_3db(self):
-        out = omni_power(sweep_set({0.0: -70.0, 90.0: -70.0}))
+        out = omni_power([(0.0, -70.0), (90.0, -70.0)])
         assert out == pytest.approx(-66.99, abs=0.005)
 
     def test_no_signal_anywhere(self):
-        assert omni_power(sweep_set({0.0: None, 90.0: None})) is None
+        assert omni_power([(0.0, None), (90.0, None)]) is None
 
     def test_permutation_invariant(self):
-        a = omni_power(sweep_set({0.0: -70.0, 90.0: -75.0, 180.0: -80.0}))
-        b = omni_power(sweep_set({180.0: -80.0, 0.0: -70.0, 90.0: -75.0}))
+        a = omni_power([(0.0, -70.0), (90.0, -75.0), (180.0, -80.0)])
+        b = omni_power([(180.0, -80.0), (0.0, -70.0), (90.0, -75.0)])
         assert a == b
 
     def test_monotone_in_added_angles(self):
-        base = omni_power(sweep_set({0.0: -70.0}))
-        more = omni_power(sweep_set({0.0: -70.0, 90.0: -90.0}))
+        base = omni_power([(0.0, -70.0)])
+        more = omni_power([(0.0, -70.0), (90.0, -90.0)])
         assert more > base
 
 
@@ -116,6 +116,16 @@ class TestPathLossAndBudget:
     def test_budget_rejects_non_finite(self):
         with pytest.raises(ConfigError):
             LinkBudget(14.6, 27.0, 27.0, math.inf, 6.5, -76.0)
+
+    def test_budget_rejects_overflowing_sum(self):
+        # finite terms whose sum is inf, or inf - inf = NaN, are refused
+        with pytest.raises(ConfigError, match="overflow"):
+            LinkBudget(1e308, 1e308, 27.0, 39.0, 6.5, -76.0)
+        with pytest.raises(ConfigError, match="overflow"):
+            LinkBudget(1e308, 1e308, 27.0, 39.0, 6.5, 1e308, snr_threshold_db=1e308)
+
+    def test_averaging_gain_of_any_count(self):
+        assert averaging_gain_db(10**400) == 2000.0
 
 
 class TestCiFit:
@@ -200,11 +210,11 @@ class TestFadingRate:
 
 class TestAngularSpectrum:
     def test_sentinel_for_absent(self):
-        table = angular_spectrum(sweep_set({0.0: -70.0, 90.0: None}))
+        table = angular_spectrum([(0.0, -70.0), (90.0, None)])
         assert table == [(0.0, -70.0), (90.0, ABSENT_POWER_DBM)]
 
     def test_all_absent(self):
-        table = angular_spectrum(sweep_set({0.0: None, 180.0: None}))
+        table = angular_spectrum([(0.0, None), (180.0, None)])
         assert all(power == ABSENT_POWER_DBM for _, power in table)
 
 
@@ -228,36 +238,44 @@ def desk():
 
 class TestRunSweep:
     def test_single_boresight_path_dominates_one_angle(self, desk):
-        ss = run_sweep(boresight_scenario(), 0, step_deg=90.0, sweeps=1, seed=0, preset=desk)
-        table = sorted(angular_spectrum(ss), key=lambda t: t[1], reverse=True)
-        assert len(ss.records) == 4
+        spokes = sweep(boresight_scenario(), 0, step_deg=90.0, sweeps=1, seed=0, preset=desk)
+        table = sorted(angular_spectrum(spokes), key=lambda t: t[1], reverse=True)
+        assert len(spokes) == 4
         assert table[0][0] == 180.0  # beam at the arrival azimuth
         assert table[0][1] - table[1][1] >= 25.0
 
     def test_record_counts_at_paper_procedure(self, desk):
-        ss = run_sweep(boresight_scenario(), 0, step_deg=15.0, sweeps=5, seed=0, preset=desk)
-        assert len(ss.records) == 24
-        total_pdps = sum(len(r.pdps) for r in ss.records)
-        assert total_pdps <= 120
-        assert total_pdps == 24 * 5
+        pdps = []
+        spokes = sweep(
+            boresight_scenario(), 0, step_deg=15.0, sweeps=5, seed=0, preset=desk,
+            pdp_sink=pdps.append,
+        )
+        assert len(spokes) == 24
+        assert len(pdps) == 24 * 5
+        # each spoke reports the strongest of its five sweeps
+        for ai, (azimuth, best) in enumerate(spokes):
+            own = pdps[5 * ai : 5 * ai + 5]
+            assert all(p.metadata["angle"] == azimuth for p in own)
+            totals = [p.total_power_dbm for p in own if p.total_power_dbm is not None]
+            assert best == (max(totals) if totals else None)
 
     def test_deterministic_given_seed(self, desk):
-        a = run_sweep(boresight_scenario(), 0, step_deg=90.0, sweeps=1, seed=9, preset=desk)
-        b = run_sweep(boresight_scenario(), 0, step_deg=90.0, sweeps=1, seed=9, preset=desk)
+        a = sweep(boresight_scenario(), 0, step_deg=90.0, sweeps=1, seed=9, preset=desk)
+        b = sweep(boresight_scenario(), 0, step_deg=90.0, sweeps=1, seed=9, preset=desk)
         assert omni_power(a) == omni_power(b)
 
     def test_omni_close_to_best_directional(self, desk):
         # adjacent beams at one full HPBW only leak 12 dB down, so the omni
         # sum sits a documented ~0.6 dB above the best single beam
-        ss = run_sweep(boresight_scenario(), 0, step_deg=15.0, sweeps=1, seed=1, preset=desk)
-        best = max(r.best_power_dbm for r in ss.records if r.best_power_dbm is not None)
-        assert omni_power(ss) - best == pytest.approx(0.6, abs=0.35)
+        spokes = sweep(boresight_scenario(), 0, step_deg=15.0, sweeps=1, seed=1, preset=desk)
+        best = max(power for _, power in spokes if power is not None)
+        assert omni_power(spokes) - best == pytest.approx(0.6, abs=0.35)
 
     def test_path_loss_recovers_fspl(self, desk):
         sc = boresight_scenario()
-        ss = run_sweep(sc, 0, step_deg=15.0, sweeps=1, seed=2, preset=desk)
+        spokes = sweep(sc, 0, step_deg=15.0, sweeps=1, seed=2, preset=desk)
         pl = path_loss(
-            omni_power(ss), sc.tx_power_dbm,
+            omni_power(spokes), sc.tx_power_dbm,
             sc.tx_pattern.boresight_gain_dbi, sc.rx_pattern.boresight_gain_dbi,
         )
         assert pl == pytest.approx(fspl(30.0, sc.carrier_hz), abs=1.0)
@@ -265,18 +283,26 @@ class TestRunSweep:
     def test_argmax_invariant_under_gain_scaling(self, desk):
         sc = boresight_scenario()
         louder = boresight_scenario(tx_power_dbm=sc.tx_power_dbm + 10.0)
-        a = angular_spectrum(run_sweep(sc, 0, step_deg=90.0, sweeps=1, seed=4, preset=desk))
-        b = angular_spectrum(run_sweep(louder, 0, step_deg=90.0, sweeps=1, seed=4, preset=desk))
+        a = angular_spectrum(sweep(sc, 0, step_deg=90.0, sweeps=1, seed=4, preset=desk))
+        b = angular_spectrum(sweep(louder, 0, step_deg=90.0, sweeps=1, seed=4, preset=desk))
         assert max(a, key=lambda t: t[1])[0] == max(b, key=lambda t: t[1])[0]
 
     def test_invalid_step_rejected(self, desk):
         with pytest.raises(ConfigError, match="must divide 360"):
-            run_sweep(boresight_scenario(), 0, step_deg=50.0, sweeps=1, seed=0, preset=desk)
+            sweep(boresight_scenario(), 0, step_deg=50.0, sweeps=1, seed=0, preset=desk)
 
     def test_subnormal_step_rejected(self):
         # 360 / 5e-324 overflows to infinity
         with pytest.raises(ConfigError, match="must divide 360"):
             check_sweep_options(5e-324, sweeps=1, averages=1)
+
+    def test_capture_count_capped(self):
+        # the paper's five sweeps of 20 averages pass on the finest grid
+        check_sweep_options(360.0 / MAX_AZIMUTH_SPOKES, sweeps=5, averages=20)
+        assert MAX_LOCATION_CAPTURES == MAX_AZIMUTH_SPOKES * 100
+        for sweeps, averages in ((6, 20), (10**30, 1), (1, 10**9)):
+            with pytest.raises(ConfigError, match=f"more than {MAX_LOCATION_CAPTURES} captures"):
+                check_sweep_options(0.1 if sweeps == 6 else 90.0, sweeps=sweeps, averages=averages)
 
     def test_spoke_count_capped(self):
         check_sweep_options(360.0 / MAX_AZIMUTH_SPOKES, sweeps=1, averages=1)  # 0.1 degree
@@ -287,10 +313,40 @@ class TestRunSweep:
     @pytest.mark.parametrize("step", [0.0, -90.0, math.nan, math.inf], ids=["zero", "negative", "nan", "inf"])
     def test_step_outside_full_turn_rejected(self, desk, step):
         with pytest.raises(ConfigError, match=r"azimuth step must be in \(0, 360\]"):
-            run_sweep(boresight_scenario(), 0, step_deg=step, sweeps=1, seed=0, preset=desk)
+            sweep(boresight_scenario(), 0, step_deg=step, sweeps=1, seed=0, preset=desk)
 
     def test_processing_gain_constant_available(self):
         assert processing_gain(128.0) == pytest.approx(21.07, abs=0.01)
+
+
+class TestStreamedPdps:
+    def test_memory_does_not_grow_with_spokes_or_sweeps(self, desk):
+        # each PDP goes to the sink and is dropped: 180 spokes x 5 sweeps
+        # must hold and peak at what 4 spokes x 1 sweep do, within 1 MB
+        sc = load_scenario(shipped_scenario_path("corner_route"))
+        channel = check_location(sc, 3, desk)
+
+        def traced(step_deg, sweeps):
+            seen = []
+
+            def sink(pdp):
+                seen.append((pdp.metadata["angle"], pdp.metadata["sweep"]))
+
+            tracemalloc.start()
+            try:
+                spokes = run_sweep(sc, 3, step_deg, sweeps, 0, desk, channel=channel, pdp_sink=sink)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return spokes, seen, held, peak
+
+        traced(90.0, 1)  # warm the per-preset caches
+        _, _, base_held, base_peak = traced(90.0, 1)
+        spokes, seen, held, peak = traced(2.0, 5)
+        assert len(spokes) == 180
+        assert seen == [(azimuth, s) for azimuth, _ in spokes for s in range(5)]
+        assert held - base_held <= 1e6
+        assert peak - base_peak <= 1e6
 
 
 class TestFoldedNoise:
@@ -340,7 +396,11 @@ class TestSweepMatchesPublicStages:
         seed = 11
         preset = get_preset(preset_name)
         sc = load_scenario(shipped_scenario_path("corner_route"))
-        ss = run_sweep(sc, rx_index, step_deg, sweeps, seed, preset, averages=averages)
+        pdps = []
+        spokes = sweep(
+            sc, rx_index, preset, step_deg=step_deg, sweeps=sweeps, seed=seed,
+            averages=averages, pdp_sink=pdps.append,
+        )
 
         channel = synthesize_channel(sc, rx_index)
         assert len(channel) == 2
@@ -349,17 +409,18 @@ class TestSweepMatchesPublicStages:
         tx = sc.tx_pattern.pointed(*sc.tx_pointing_for(rx_loc))
         chips = preset.chip_sequence()
         pulse_bins = system_pulse_energy_bins(preset)
-        assert len(ss.records) == round(360.0 / step_deg)
-        for ai, record in enumerate(ss.records):
-            rx = sc.rx_pattern.pointed(record.rx_azimuth_deg, sc.rx_elevation_deg)
-            assert len(record.pdps) == sweeps
-            for s, got in enumerate(record.pdps):
+        assert len(spokes) == round(360.0 / step_deg)
+        assert len(pdps) == len(spokes) * sweeps
+        for ai, (azimuth, _) in enumerate(spokes):
+            rx = sc.rx_pattern.pointed(azimuth, sc.rx_elevation_deg)
+            for s in range(sweeps):
+                got = pdps[ai * sweeps + s]
                 captures = [
                     pdp_from_iq(correlate_fast(receive(
                         preset, wave, channel, tx, rx, sc.effective_noise_psd_dbm_hz,
                         np.random.default_rng((seed, rx_index, ai, s, a)),
                     ), preset.config, chips), pulse_bins,
-                        angle=record.rx_azimuth_deg, location=rx_loc.ident, sweep=s)
+                        angle=azimuth, location=rx_loc.ident, sweep=s)
                     for a in range(averages)
                 ]
                 want = threshold_pdp(captures[0] if averages == 1 else average_pdps(captures))
@@ -441,8 +502,7 @@ class TestTwoLobeStructure:
             wedges=((20.0, 0.3),),
             reflectors=(Reflector((0.0, -12.0), (40.0, -12.0), loss_db=10.0),),
         )
-        ss = run_sweep(sc, 0, step_deg=15.0, sweeps=1, seed=0, preset=desk)
-        table = angular_spectrum(ss)
+        table = angular_spectrum(sweep(sc, 0, step_deg=15.0, sweeps=1, seed=0, preset=desk))
         lobes = angular_lobes(table, margin_db=6.0)
         assert len(lobes) == 2
         azs = [table[i][0] for i in lobes]
@@ -453,8 +513,7 @@ class TestTwoLobeStructure:
         # first stop in the canyon: strong reflection off the east building
         # plus a weaker lobe diffracting around the corner, roughly opposite
         sc = load_scenario(shipped_scenario_path("corner_route"))
-        ss = run_sweep(sc, 5, step_deg=15.0, sweeps=1, seed=0, preset=desk)
-        table = angular_spectrum(ss)
+        table = angular_spectrum(sweep(sc, 5, step_deg=15.0, sweeps=1, seed=0, preset=desk))
         lobes = angular_lobes(table, margin_db=2.0)
         assert len(lobes) == 2
         azs = sorted(table[i][0] for i in lobes)

@@ -135,12 +135,15 @@ class TestRuntimeWithoutScipy:
             "from corrsounder.cli import shipped_scenario_path\n"
             "from corrsounder.correlator import correlate_fast, desk_preset, full_preset\n"
             "from corrsounder.scenario_io import load_scenario\n"
-            "from corrsounder.sweep import run_sweep\n"
+            "from corrsounder.sweep import check_location, run_sweep\n"
             "sc = load_scenario(shipped_scenario_path('corner_route'))\n"
-            "ss = run_sweep(sc, 0, step_deg=90.0, sweeps=1, seed=0, preset=desk_preset())\n"
+            "desk = desk_preset()\n"
+            "pdps = []\n"
+            "spokes = run_sweep(sc, 0, step_deg=90.0, sweeps=1, seed=0, preset=desk,\n"
+            "                   channel=check_location(sc, 0, desk), pdp_sink=pdps.append)\n"
             "full = full_preset()\n"
             "cir = correlate_fast(full.transmit_waveform(periods=1), full.config, full.chip_sequence())\n"
-            "print(len(ss.records), len(cir))\n"
+            "print(len(spokes), len(pdps), len(cir))\n"
             "print(sorted(m for m, mod in sys.modules.items() if m.split('.')[0] == 'scipy' and mod is not None))\n"
             "print('numpy.ma' in sys.modules)\n"
         )
@@ -148,7 +151,7 @@ class TestRuntimeWithoutScipy:
             [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120,
             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
         ).stdout
-        assert out.split("\n")[:3] == ["4 32752", "[]", "False"]
+        assert out.split("\n")[:3] == ["4 4 32752", "[]", "False"]
 
 
 class TestBinaryExport:
