@@ -11,8 +11,9 @@ compressed time ``tau * slide_factor`` where
 truth; expensive at full rate).  ``correlate_fast`` produces the same trace
 cheaply from the input folded onto one code period: when the slow code is
 periodic on the sample grid the mixer is an exact bank of cyclic
-convolutions over that period (a polyphase kernel), otherwise it falls back
-to a folded cyclic correlation shaped by an equivalent low-pass kernel.
+convolutions over that period (a polyphase kernel).  Otherwise a template
+correlation shaped by an equivalent low-pass kernel stands in for it, cast
+in the same polyphase form, so one kernel runs both.
 
 The polyphase kernel computes only the samples the decimator keeps.  Each
 code phase is read on one coset of a subgroup of the period (every g-th
@@ -168,10 +169,8 @@ class SounderPreset:
     def chip_sequence(self) -> ChipSequence:
         return generate_msequence(self.pn_spec)
 
-    def transmit_waveform(self, periods: int | None = None) -> SampledWaveform:
-        """Probing waveform; defaults to exactly one dilated period."""
-        if periods is None:
-            periods = int(round(slide_factor(self.config)))
+    def transmit_waveform(self, periods: int = 1) -> SampledWaveform:
+        """Probing waveform, ``periods`` code periods long."""
         return upsample_chips(
             self.chip_sequence(), self.config.tx_chip_rate, self.samples_per_chip, periods
         )
@@ -450,16 +449,19 @@ def _polyphase_plan(cfg: CorrelatorConfig, fs: float, pn: ChipSequence):
 
 
 @functools.lru_cache(maxsize=16)
-def _template_response(cfg: CorrelatorConfig, fs: float, pn: ChipSequence) -> np.ndarray:
-    """Spectrum of the template branch on the compressed grid (do not mutate).
+def _template_plan(cfg: CorrelatorConfig, fs: float, pn: ChipSequence):
+    """The template branch, stored as a polyphase plan (do not mutate).
 
     Cyclic correlation against the transmit template, interpolated onto the
     compressed grid through a low-pass of the same family and cutoff as the
     literal path (designed at the compressed output rate) plus a box average
     one simulation sample wide, which emulates the mixer's chip-edge
-    quantisation.  It multiplies the folded period's spectrum tiled onto the
-    compressed grid; depends only on the config, rate and code, so it is
-    cached.
+    quantisation.  With T that response on the M = u P compressed bins, the
+    output is IFFT_M(tile(FFT_P(x), u) T), and its phase s = n mod u is a
+    P-point cyclic convolution with spectrum
+    H_s[k] = (P/M) e^{2 pi i k s/M} sum over j < u of T[k + jP] e^{2 pi i j s/u}:
+    ``_polyphase_plan``'s (M, g, R) layout with g = 1, R = u and an identity
+    gather.  Depends only on the config, rate and code, so it is cached.
     """
     spc = _integer(fs / cfg.tx_chip_rate, "samples per tx chip")
     p = cfg.code_length * spc
@@ -474,39 +476,32 @@ def _template_response(cfg: CorrelatorConfig, fs: float, pn: ChipSequence) -> np
         box = np.zeros(m)
         box[:up] = 1.0 / up
         response *= np.fft.fft(np.roll(box, -(up // 2)))
-    return response * (up / p)
+    ramp = np.exp(2j * np.pi / m * np.arange(up)[:, None] * np.arange(p))
+    spectra = up * np.fft.ifft(response.reshape(up, p), axis=0) * ramp / p
+    return spectra.T[:, None, :].copy(), slice(None)
 
 
 def fast_kernel(cfg: CorrelatorConfig, fs: float, pn: ChipSequence):
     """Set-up of :func:`correlate_fast` for one (config, rate, code).
 
     Checks the code length and the sampling geometry, fetches the cached
-    plan and returns ``(p, compress)``: the code period P1 in samples and
-    the per-capture core, which maps one (folded) period of input to the
-    compressed trace, ``code_length * COMPRESSED_SAMPLES_PER_CHIP`` complex
-    samples.
+    plan (the exact polyphase kernel, or the template branch in the same
+    layout when the slow code has no grid-exact period) and returns
+    ``(p, compress)``: the code period P1 in samples and the per-capture
+    core, which maps one (folded) period of input to the compressed trace,
+    ``code_length * COMPRESSED_SAMPLES_PER_CHIP`` complex samples.
     """
     if len(pn) != cfg.code_length:
         raise ConfigError(f"code length mismatch: {len(pn)} vs config {cfg.code_length}")
     _validate_geometry(fs, cfg)
     p = cfg.code_length * _integer(fs / cfg.tx_chip_rate, "samples per tx chip")
+    spectra, gather = _polyphase_plan(cfg, fs, pn) or _template_plan(cfg, fs, pn)
+    m, g = spectra.shape[:2]
 
-    plan = _polyphase_plan(cfg, fs, pn)
-    if plan is None:
-        response = _template_response(cfg, fs, pn)
-        reps = response.size // p
-
-        def compress(period: np.ndarray) -> np.ndarray:
-            return np.fft.ifft(np.tile(np.fft.fft(period), reps) * response)
-
-    else:
-        spectra, gather = plan
-        m, g = spectra.shape[:2]
-
-        def compress(period: np.ndarray) -> np.ndarray:
-            branches = np.fft.fft(period.reshape(m, g), axis=0)  # (M, g)
-            mixed = np.matmul(branches[:, None, :], spectra)[:, 0]  # (M, R)
-            return np.fft.ifft(mixed, axis=0).ravel()[gather]
+    def compress(period: np.ndarray) -> np.ndarray:
+        branches = np.fft.fft(period.reshape(m, g), axis=0)  # (M, g)
+        mixed = np.matmul(branches[:, None, :], spectra)[:, 0]  # (M, R)
+        return np.fft.ifft(mixed, axis=0).ravel()[gather]
 
     return p, compress
 

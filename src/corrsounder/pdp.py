@@ -221,9 +221,9 @@ def _ns_cells(delays_s: np.ndarray) -> list[str]:
     return [f"{v:.10g}" for v in (delays_s * 1e9).tolist()]
 
 
-@functools.lru_cache(maxsize=4)
-def _delay_column(axis: bytes) -> tuple[str, ...]:
-    return tuple(_ns_cells(np.frombuffer(axis)))
+@functools.lru_cache(maxsize=17)  # the 16 blocks of full's axis and desk's one
+def _delay_column(block: bytes) -> tuple[str, ...]:
+    return tuple(_ns_cells(np.frombuffer(block)))
 
 
 def write_pdp_csv(pdp: PowerDelayProfile, path) -> None:
@@ -240,15 +240,11 @@ def write_pdp_csv(pdp: PowerDelayProfile, path) -> None:
             if key in pdp.metadata:
                 fh.write(f"# {key}={pdp.metadata[key]}\n")
         fh.write("excess_delay_ns,power_dBm\n")
-        # blocks of at most CSV_BLOCK_ROWS rows, one write each; an axis that
-        # fits in one block is formatted once (every PDP of a preset shares it)
+        # blocks of at most CSV_BLOCK_ROWS rows, one write each; each block
+        # of the delay axis is formatted once (every PDP of a preset shares it)
         delays = pdp.excess_delay_s
-        n = len(delays)
-        for start in range(0, n, CSV_BLOCK_ROWS):
+        for start in range(0, len(delays), CSV_BLOCK_ROWS):
             block = slice(start, start + CSV_BLOCK_ROWS)
-            if n <= CSV_BLOCK_ROWS:
-                first = _delay_column(delays.tobytes())
-            else:
-                first = _ns_cells(delays[block])
+            first = _delay_column(delays[block].tobytes())
             cells = _dbm_cells(pdp.power_mw[block].tolist())
             fh.write("\n".join(map(",".join, zip(first, cells))) + "\n")

@@ -21,7 +21,7 @@ from pathlib import Path
 import yaml
 
 from . import __version__
-from .channel import AntennaPattern, Reflector, RxLocation, ScenarioConfig, Wall, fspl
+from .channel import SPEED_OF_LIGHT, AntennaPattern, Reflector, RxLocation, ScenarioConfig, Wall, fspl
 from .errors import AnalysisError, ConfigError, SimulationError
 from .correlator import get_preset
 from .pdp import write_pdp_csv
@@ -272,8 +272,8 @@ class CampaignSpec:
             raise ConfigError("single campaigns need rx_index")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if not (math.isfinite(self.speed_mps) and self.speed_mps > 0.0):
-            raise ConfigError(f"speed_mps must be finite and positive, got {self.speed_mps}")
+        if not 0.0 < self.speed_mps <= SPEED_OF_LIGHT:
+            raise ConfigError(f"speed_mps must be in (0, speed of light], got {self.speed_mps}")
         check_sweep_options(self.step_deg, self.sweeps, self.averages)
 
 

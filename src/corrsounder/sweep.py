@@ -118,7 +118,8 @@ def probe_waveform(
     """Transmitted probe at ``tx_power_dbm``: one code period for the fast
     correlator (it folds its input onto one period anyway), the whole dilated
     record for the literal mixer."""
-    wave = preset.transmit_waveform(periods=1 if method == "fast" else None)
+    periods = 1 if method == "fast" else round(slide_factor(preset.config))
+    wave = preset.transmit_waveform(periods=periods)
     return replace(wave, samples=wave.samples * math.sqrt(10.0 ** (tx_power_dbm / 10.0)))
 
 
@@ -334,7 +335,8 @@ def fading_rate(
 
     ``route`` holds (position along path in metres, omni power in dBm) with
     strictly increasing positions.  Returns (dB/m, dB/s); dB/s is exactly
-    dB/m times the speed.  A route with no decreasing pair yields zero rates.
+    dB/m times the speed.  A route with no decreasing pair yields zero rates;
+    a rate that overflows to infinity is an ``AnalysisError``.
     """
     if len(route) < 2:
         raise AnalysisError("fading rate needs at least two route points")
@@ -361,7 +363,10 @@ def fading_rate(
         return 0.0, 0.0
     a, b = best
     db_per_m = (route[a][1] - route[b][1]) / (route[b][0] - route[a][0])
-    return db_per_m, db_per_m * speed_mps
+    db_per_s = db_per_m * speed_mps
+    if not math.isfinite(db_per_s):
+        raise AnalysisError(f"fading rate {db_per_m} dB/m at {speed_mps} m/s is not finite")
+    return db_per_m, db_per_s
 
 
 @dataclass(frozen=True)

@@ -124,7 +124,7 @@ def _detected_delay_bins(cir):
 def test_criterion_04_correlator_oracle_equivalence():
     desk = desk_preset()
     cfg, chips = desk.config, desk.chip_sequence()
-    wave = desk.transmit_waveform()
+    wave = desk.transmit_waveform(periods=128)
     spc = desk.samples_per_chip
     rng = np.random.default_rng(2024)
     worst_db = 0.0
@@ -157,7 +157,7 @@ def test_criterion_04_correlator_oracle_equivalence():
 def test_criterion_05_measured_processing_gain():
     desk = desk_preset()
     cfg, chips = desk.config, desk.chip_sequence()
-    wave = desk.transmit_waveform()
+    wave = desk.transmit_waveform(periods=128)
     n = len(wave)
     expected = processing_gain(slide_factor(cfg))
     deviations = []

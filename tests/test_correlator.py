@@ -12,6 +12,7 @@ from corrsounder.correlator import (
     correlate_literal,
     desk_preset,
     dilated_period,
+    fast_kernel,
     full_preset,
     get_preset,
     processing_gain,
@@ -19,11 +20,13 @@ from corrsounder.correlator import (
     slide_factor,
     write_cir_csv,
     _polyphase_plan,
+    _template_plan,
+    _zero_phase_spectrum,
 )
 from corrsounder.errors import ConfigError, SimulationError
 from corrsounder.pdp import system_pulse_energy_bins
 from corrsounder.pn import generate_msequence, preset
-from corrsounder.waveform import upsample_chips
+from corrsounder.waveform import design_lowpass_taps, upsample_chips
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +36,7 @@ def desk():
 
 @pytest.fixture(scope="module")
 def desk_wave(desk):
-    return desk.transmit_waveform()
+    return desk.transmit_waveform(periods=128)
 
 
 @pytest.fixture(scope="module")
@@ -241,6 +244,73 @@ class TestFastEquivalent:
             assert not out.has_signal
 
 
+#: Configs without a grid-exact slow-code period, which take the template
+#: branch: name -> (config, code, samples per chip).  The proxy is order 7,
+#: slide factor 500, 4 samples per chip and the low-pass at twice the rate
+#: offset, so its dilated record is only 254,000 samples.
+_TEMPLATE_CONFIGS = {
+    "full": (full_preset().config, preset(11), 4),
+    "proxy": (CorrelatorConfig(1e6, 1e6 * 499 / 500, 127, lpf_cutoff=2e6 / 500), preset(7), 4),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(_TEMPLATE_CONFIGS))
+def template_config(request):
+    cfg, spec, spc = _TEMPLATE_CONFIGS[request.param]
+    return request.param, cfg, generate_msequence(spec), spc
+
+
+def _tiled_template(cfg, fs, chips, period):
+    """The template branch as the tile product the plan replaced: the folded
+    period's spectrum tiled onto the compressed grid times the response."""
+    spc = round(fs / cfg.tx_chip_rate)
+    m = COMPRESSED_SAMPLES_PER_CHIP * cfg.code_length
+    up = m // period.size
+    template = np.repeat(chips.chips.astype(np.float64), spc)
+    taps_c = design_lowpass_taps(cfg.lpf_cutoff, cfg.compressed_sample_rate)
+    response = np.tile(np.conj(np.fft.fft(template)), up) * _zero_phase_spectrum(taps_c, m)
+    box = np.zeros(m)
+    box[:up] = 1.0 / up
+    response *= np.fft.fft(np.roll(box, -(up // 2))) * (up / period.size)
+    reps = response.size // period.size
+    return np.fft.ifft(np.tile(np.fft.fft(period), reps) * response)
+
+
+class TestTemplatePlan:
+    def test_stored_in_the_polyphase_layout(self, template_config):
+        name, cfg, chips, spc = template_config
+        fs = cfg.tx_chip_rate * spc
+        assert _polyphase_plan(cfg, fs, chips) is None
+        spectra, gather = _template_plan(cfg, fs, chips)
+        # (M, g, R) = (P, 1, u), u = 4 compressed bins per code-period sample
+        assert spectra.shape == {"full": (8188, 1, 4), "proxy": (508, 1, 4)}[name]
+        assert gather == slice(None)
+
+    @pytest.mark.parametrize("delay_chips", [0, 10, 37])
+    def test_matches_the_tiled_template_product(self, template_config, delay_chips):
+        _, cfg, chips, spc = template_config
+        fs = cfg.tx_chip_rate * spc
+        p, compress = fast_kernel(cfg, fs, chips)
+        wave = upsample_chips(chips, cfg.tx_chip_rate, spc, 1)
+        period = np.roll(wave.samples, delay_chips * spc)
+        reference = _tiled_template(cfg, fs, chips, period)
+        assert np.abs(compress(period) - reference).max() <= 1e-13 * np.abs(reference).max()
+
+    @pytest.mark.parametrize("delay_chips", [0, 10, 37])
+    def test_error_against_the_oracle_on_the_proxy(self, delay_chips):
+        # the template branch's stated bound: within -17 dB of the literal
+        # peak over the whole trace (measured -19.3, -17.3 and -17.6 dB).
+        # Peak bins are not compared: the chip-edge model puts them up to 2
+        # bins after the oracle's
+        cfg, spec, spc = _TEMPLATE_CONFIGS["proxy"]
+        chips = generate_msequence(spec)
+        wave = upsample_chips(chips, cfg.tx_chip_rate, spc, round(slide_factor(cfg)))
+        rx = replace(wave, samples=np.roll(wave.samples, delay_chips * spc))
+        lit = correlate_literal(rx, cfg, chips).cir
+        fast = correlate_fast(rx, cfg, chips).cir
+        assert 20 * np.log10(np.abs(lit - fast).max() / np.abs(lit).max()) <= -17.0
+
+
 class TestPulseCalibration:
     def test_single_path_total_equals_peak(self, desk):
         bins = system_pulse_energy_bins(desk)
@@ -272,6 +342,11 @@ class TestPresets:
 
     def test_desk_waveform_is_one_dilated_period(self, desk, desk_wave):
         assert len(desk_wave) == round(dilated_period(desk.config) * desk.sample_rate)
+
+    def test_default_waveform_is_one_code_period(self, desk):
+        # the dilated record (130,048 samples on desk, 65.5 M on full) only
+        # when asked for
+        assert len(desk.transmit_waveform()) == 127 * desk.samples_per_chip
 
 
 class TestCirExport:

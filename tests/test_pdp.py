@@ -209,7 +209,7 @@ class TestThreshold:
         # end-to-end: a unit path through the correlator integrates back to
         # its peak power once divided by the measured pulse footprint
         preset = desk_preset()
-        wave = preset.transmit_waveform()
+        wave = preset.transmit_waveform(periods=128)
         cir = correlate_fast(wave, preset.config, preset.chip_sequence())
         pdp = pdp_from_iq(cir, system_pulse_energy_bins(preset))
         out = threshold_pdp(pdp)

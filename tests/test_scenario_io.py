@@ -567,6 +567,22 @@ class TestCli:
         assert cli_main(args) == 2
         assert not out.exists()
 
+    def test_speed_faster_than_light_exit_code(self, tmp_path, capsys):
+        # on this 2-stop route, 1.7e308 m/s once printed inf dB/s and wrote
+        # "fading_db_per_s": Infinity into bundle.json with exit 0
+        stops = MINI_SCENARIO[MINI_SCENARIO.index("    - {id: A") : MINI_SCENARIO.index("environment")]
+        scenario = tmp_path / "two.yaml"
+        scenario.write_text(MINI_SCENARIO.replace(
+            stops, "    - {id: A, position_m: [2.0, 0.0]}\n    - {id: B, position_m: [3.0, 0.0]}\n"
+        ))
+        out = tmp_path / "o"
+        assert cli_main([
+            "campaign", "--scenario", str(scenario), "--kind", "route", "--step-deg", "90",
+            "--sweeps", "1", "--speed", "1.7e308", "--out", str(out),
+        ]) == 2
+        assert "inf" not in capsys.readouterr().out
+        assert not out.exists()
+
     def test_invalid_utf8_scenario_exit_code(self, tmp_path):
         scenario = tmp_path / "bad.yaml"
         scenario.write_bytes(b"name: x\n\xff\xfe bad\n")

@@ -207,6 +207,11 @@ class TestFadingRate:
         with pytest.raises(AnalysisError):
             fading_rate([(0.0, -40.0), (0.0, -41.0)], 1.0)
 
+    def test_overflowing_rate_refused(self):
+        # 10 dB/m times 1.7e308 m/s is inf dB/s
+        with pytest.raises(AnalysisError, match="not finite"):
+            fading_rate([(2.0, -40.0), (3.0, -50.0)], 1.7e308)
+
 
 class TestAngularSpectrum:
     def test_sentinel_for_absent(self):
