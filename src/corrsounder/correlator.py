@@ -289,20 +289,16 @@ def _validate_geometry(fs: float, cfg: CorrelatorConfig) -> tuple[int, int]:
     return d, step
 
 
-def _zero_phase_spectrum(taps: np.ndarray, n: int) -> np.ndarray:
-    """Circular frequency response of a centred (group-delay-free) kernel."""
+@functools.lru_cache(maxsize=16)
+def _lpf_spectrum(cfg: CorrelatorConfig, fs: float, n: int) -> np.ndarray:
+    """Cached circular response of the correlator low-pass, centred so it
+    adds no group delay (do not mutate)."""
+    taps = design_lowpass_taps(cfg.lpf_cutoff, fs)
     if taps.size > n:
         raise SimulationError("record shorter than the filter kernel")
     kernel = np.zeros(n)
     kernel[: taps.size] = taps
-    kernel = np.roll(kernel, -((taps.size - 1) // 2))
-    return np.fft.fft(kernel)
-
-
-@functools.lru_cache(maxsize=16)
-def _lpf_spectrum(cfg: CorrelatorConfig, fs: float, n: int) -> np.ndarray:
-    """Cached circular response of the correlator low-pass (do not mutate)."""
-    return _zero_phase_spectrum(design_lowpass_taps(cfg.lpf_cutoff, fs), n)
+    return np.fft.fft(np.roll(kernel, -((taps.size - 1) // 2)))
 
 
 def _reference_period(cfg: CorrelatorConfig, fs: float, pn: ChipSequence) -> np.ndarray | None:
@@ -453,31 +449,29 @@ def _template_plan(cfg: CorrelatorConfig, fs: float, pn: ChipSequence):
     """The template branch, stored as a polyphase plan (do not mutate).
 
     Cyclic correlation against the transmit template, interpolated onto the
-    compressed grid through a low-pass of the same family and cutoff as the
-    literal path (designed at the compressed output rate) plus a box average
-    one simulation sample wide, which emulates the mixer's chip-edge
-    quantisation.  With T that response on the M = u P compressed bins, the
-    output is IFFT_M(tile(FFT_P(x), u) T), and its phase s = n mod u is a
-    P-point cyclic convolution with spectrum
-    H_s[k] = (P/M) e^{2 pi i k s/M} sum over j < u of T[k + jP] e^{2 pi i j s/u}:
-    ``_polyphase_plan``'s (M, g, R) layout with g = 1, R = u and an identity
-    gather.  Depends only on the config, rate and code, so it is cached.
+    M = u P compressed bins (u per code-period sample) by a centred real
+    kernel w: a low-pass of the literal path's family and cutoff, designed
+    at the compressed rate, convolved with a box u bins (one simulation
+    sample) wide that emulates the mixer's chip-edge quantisation.  Output
+    phase s = n mod u is then a P-point cyclic convolution of the input with
+    H_s[k] = (u/P) conj(FFT_P(template))[k] FFT_P(w_s)[k], where
+    w_s[l] = w[s + u l] sits at index l mod P: ``_polyphase_plan``'s
+    (M, g, R) layout with g = 1, R = u and an identity gather, built from
+    P-point FFTs only.  Cached, as it depends on the config, rate and code.
     """
     spc = _integer(fs / cfg.tx_chip_rate, "samples per tx chip")
     p = cfg.code_length * spc
     m = COMPRESSED_SAMPLES_PER_CHIP * cfg.code_length
     up = _integer(m / p, "lag-axis upsampling ratio")
-    template = np.repeat(pn.chips.astype(np.float64), spc)
     taps_c = design_lowpass_taps(cfg.lpf_cutoff, cfg.compressed_sample_rate)
-    response = np.tile(np.conj(np.fft.fft(template)), up) * _zero_phase_spectrum(taps_c, m)
-    if up > 1:
-        # chip-edge jitter of the unfiltered slow code: one sample at fs,
-        # i.e. `up` bins on the compressed grid
-        box = np.zeros(m)
-        box[:up] = 1.0 / up
-        response *= np.fft.fft(np.roll(box, -(up // 2)))
-    ramp = np.exp(2j * np.pi / m * np.arange(up)[:, None] * np.arange(p))
-    spectra = up * np.fft.ifft(response.reshape(up, p), axis=0) * ramp / p
+    if taps_c.size > m:
+        raise SimulationError("record shorter than the filter kernel")
+    w = np.convolve(taps_c, np.full(up, 1.0 / up))
+    t = np.arange(w.size) - (taps_c.size - 1) // 2 - up // 2  # lag of each tap
+    phases = np.bincount(t % up * p + t // up % p, weights=w, minlength=m)
+    template = np.repeat(pn.chips.astype(np.float64), spc)
+    spectra = np.fft.fft(phases.reshape(up, p), axis=1)
+    spectra *= np.conj(np.fft.fft(template)) * (up / p)
     return spectra.T[:, None, :].copy(), slice(None)
 
 
@@ -501,7 +495,7 @@ def fast_kernel(cfg: CorrelatorConfig, fs: float, pn: ChipSequence):
     def compress(period: np.ndarray) -> np.ndarray:
         branches = np.fft.fft(period.reshape(m, g), axis=0)  # (M, g)
         mixed = np.matmul(branches[:, None, :], spectra)[:, 0]  # (M, R)
-        return np.fft.ifft(mixed, axis=0).ravel()[gather]
+        return np.fft.ifft(mixed, axis=0, out=mixed).ravel()[gather]
 
     return p, compress
 

@@ -212,18 +212,11 @@ def system_pulse_energy_bins(preset: SounderPreset) -> float:
     return float(out.power_mw.sum() / peak)
 
 
-def _dbm_cells(powers: list[float]) -> list[str]:
-    # _dbm's test, so a NaN bin still prints 'nan'; zeroed bins skip log10
-    return ["-inf" if p <= 0.0 else f"{10.0 * math.log10(p):.10g}" for p in powers]
-
-
-def _ns_cells(delays_s: np.ndarray) -> list[str]:
-    return [f"{v:.10g}" for v in (delays_s * 1e9).tolist()]
-
-
 @functools.lru_cache(maxsize=17)  # the 16 blocks of full's axis and desk's one
-def _delay_column(block: bytes) -> tuple[str, ...]:
-    return tuple(_ns_cells(np.frombuffer(block)))
+def _zeroed_rows(block: bytes) -> tuple[str, np.ndarray]:
+    # one delay-axis block as joined 'delay,-inf' rows, and each row's end
+    rows = [f"{v:.10g},-inf\n" for v in (np.frombuffer(block) * 1e9).tolist()]
+    return "".join(rows), np.cumsum([len(r) for r in rows])
 
 
 def write_pdp_csv(pdp: PowerDelayProfile, path) -> None:
@@ -240,11 +233,18 @@ def write_pdp_csv(pdp: PowerDelayProfile, path) -> None:
             if key in pdp.metadata:
                 fh.write(f"# {key}={pdp.metadata[key]}\n")
         fh.write("excess_delay_ns,power_dBm\n")
-        # blocks of at most CSV_BLOCK_ROWS rows, one write each; each block
-        # of the delay axis is formatted once (every PDP of a preset shares it)
+        # blocks of at most CSV_BLOCK_ROWS rows, one write each.  Every PDP
+        # on an axis shares its blocks' all-zeroed text; a file splices in
+        # only the bins _dbm's test keeps (a NaN bin prints 'nan')
         delays = pdp.excess_delay_s
         for start in range(0, len(delays), CSV_BLOCK_ROWS):
             block = slice(start, start + CSV_BLOCK_ROWS)
-            first = _delay_column(delays[block].tobytes())
-            cells = _dbm_cells(pdp.power_mw[block].tolist())
-            fh.write("\n".join(map(",".join, zip(first, cells))) + "\n")
+            text, ends = _zeroed_rows(delays[block].tobytes())
+            power = pdp.power_mw[block]
+            kept = np.flatnonzero(~(power <= 0.0))
+            pieces, done = [], 0
+            for end, p in zip(ends[kept].tolist(), power[kept].tolist()):
+                pieces += text[done : end - len("-inf\n")], f"{10.0 * math.log10(p):.10g}\n"
+                done = end
+            pieces.append(text[done:])
+            fh.write("".join(pieces))

@@ -388,11 +388,12 @@ class LinkBudget:
 
     def __post_init__(self) -> None:
         for name in self.__dataclass_fields__:
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"link budget field {name} must be finite")
-        # EIRP is the sum's first two terms, so this covers it too
-        if not math.isfinite(max_measurable_path_loss(self)):
-            raise ConfigError("link budget terms overflow a float")
+            value = getattr(self, name)
+            if not abs(value) <= 1000.0:  # dB; NaN fails too, and sums stay finite
+                raise ConfigError(
+                    f"link budget field {name}={value:g} is beyond +-1000 dB, which no "
+                    "physical term reaches and which prints hundreds of digits or overflows"
+                )
 
     @staticmethod
     def full_preset_budget() -> "LinkBudget":

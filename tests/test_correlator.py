@@ -19,14 +19,14 @@ from corrsounder.correlator import (
     rx_chip_rate_from_divider,
     slide_factor,
     write_cir_csv,
+    _lpf_spectrum,
     _polyphase_plan,
     _template_plan,
-    _zero_phase_spectrum,
 )
 from corrsounder.errors import ConfigError, SimulationError
 from corrsounder.pdp import system_pulse_energy_bins
 from corrsounder.pn import generate_msequence, preset
-from corrsounder.waveform import design_lowpass_taps, upsample_chips
+from corrsounder.waveform import upsample_chips
 
 
 @pytest.fixture(scope="module")
@@ -247,10 +247,15 @@ class TestFastEquivalent:
 #: Configs without a grid-exact slow-code period, which take the template
 #: branch: name -> (config, code, samples per chip).  The proxy is order 7,
 #: slide factor 500, 4 samples per chip and the low-pass at twice the rate
-#: offset, so its dilated record is only 254,000 samples.
+#: offset, so its dilated record is only 254,000 samples.  At 8 and 16
+#: samples per chip it has u = 2 and u = 1 compressed bins per sample: an
+#: even box, and no box.
+_PROXY = CorrelatorConfig(1e6, 1e6 * 499 / 500, 127, lpf_cutoff=2e6 / 500)
 _TEMPLATE_CONFIGS = {
     "full": (full_preset().config, preset(11), 4),
-    "proxy": (CorrelatorConfig(1e6, 1e6 * 499 / 500, 127, lpf_cutoff=2e6 / 500), preset(7), 4),
+    "proxy": (_PROXY, preset(7), 4),
+    "proxy-8spc": (_PROXY, preset(7), 8),
+    "proxy-16spc": (_PROXY, preset(7), 16),
 }
 
 
@@ -267,8 +272,8 @@ def _tiled_template(cfg, fs, chips, period):
     m = COMPRESSED_SAMPLES_PER_CHIP * cfg.code_length
     up = m // period.size
     template = np.repeat(chips.chips.astype(np.float64), spc)
-    taps_c = design_lowpass_taps(cfg.lpf_cutoff, cfg.compressed_sample_rate)
-    response = np.tile(np.conj(np.fft.fft(template)), up) * _zero_phase_spectrum(taps_c, m)
+    lpf = _lpf_spectrum(cfg, cfg.compressed_sample_rate, m)
+    response = np.tile(np.conj(np.fft.fft(template)), up) * lpf
     box = np.zeros(m)
     box[:up] = 1.0 / up
     response *= np.fft.fft(np.roll(box, -(up // 2))) * (up / period.size)
@@ -282,8 +287,13 @@ class TestTemplatePlan:
         fs = cfg.tx_chip_rate * spc
         assert _polyphase_plan(cfg, fs, chips) is None
         spectra, gather = _template_plan(cfg, fs, chips)
-        # (M, g, R) = (P, 1, u), u = 4 compressed bins per code-period sample
-        assert spectra.shape == {"full": (8188, 1, 4), "proxy": (508, 1, 4)}[name]
+        # (M, g, R) = (P, 1, u), u compressed bins per code-period sample
+        assert spectra.shape == {
+            "full": (8188, 1, 4),
+            "proxy": (508, 1, 4),
+            "proxy-8spc": (1016, 1, 2),
+            "proxy-16spc": (2032, 1, 1),
+        }[name]
         assert gather == slice(None)
 
     @pytest.mark.parametrize("delay_chips", [0, 10, 37])

@@ -126,6 +126,17 @@ class TestPdpCsvOracle:
         power[::3] = 0.0
         assert_same_pdp_bytes(axis_pdp(power, noise_floor_dbm=-90.0), tmp_path)
 
+    def test_back_to_back_on_one_axis(self, tmp_path):
+        # the second file reuses the first one's cached delay blocks, so a
+        # splice that changed a cached block would show in its bytes
+        axis = np.arange(3 * CSV_BLOCK_ROWS) * (1e-9 / 16)
+        first = np.zeros(axis.size)
+        first[[CSV_BLOCK_ROWS + 5, 2 * CSV_BLOCK_ROWS + 1, axis.size - 1]] = [0.5, 1e-3, 2.0]
+        second = np.zeros(axis.size)
+        second[[CSV_BLOCK_ROWS, 2 * CSV_BLOCK_ROWS - 1, axis.size - 2]] = [3.0, 7e-5, 0.25]
+        for power in (first, second):
+            assert_same_pdp_bytes(PowerDelayProfile(power_mw=power, excess_delay_s=axis), tmp_path)
+
     def test_special_bins(self, tmp_path):
         power = [0.0, -0.0, math.nan, math.inf, 5e-324, -1.0, 1e-300, 1.0, 2.5e7]
         pdp = axis_pdp(

@@ -454,6 +454,16 @@ class TestCli:
         assert "EIRP: 41.60 dBm" in out
         assert "max measurable path loss: 185" in out
 
+    @pytest.mark.parametrize(
+        "flag",
+        ["--noise-figure=1e308", "--tx-power=-1001", "--slide-factor=1e101", f"--averages={10**201}"],
+        ids=["noise-figure", "tx-power", "processing-gain", "averaging-gain"],
+    )
+    def test_budget_term_beyond_bound_exit_code(self, flag, capsys):
+        # --noise-figure 1e308 once printed a 309-digit noise floor, exit 0
+        assert cli_main(["budget", flag]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_info(self, capsys):
         assert cli_main(["info", "--preset", "full"]) == 0
         out = capsys.readouterr().out
