@@ -379,7 +379,7 @@ def synthesize_channel(sc: ScenarioConfig, rx_index: int) -> MultipathChannel:
     once the direct ray is blocked.
     """
     if not 0 <= rx_index < len(sc.rx_locations):
-        raise ConfigError(f"rx_index {rx_index} out of range")
+        raise ConfigError(f"rx_index {rx_index} out of range for {len(sc.rx_locations)} locations")
     tx3 = sc.tx_position_m
     rx3 = sc.rx_locations[rx_index].position_m
     tx2, rx2 = tx3[:2], rx3[:2]
@@ -497,10 +497,6 @@ def apply_channel(
     """
     terms = path_terms(w, ch, tx)
     out = superpose(terms, path_coefficients(terms, rx), len(w))
-    if noise_psd_dbm_hz is not None:
-        if not isinstance(rng, np.random.Generator):
-            if rng is not None and rng < 0:  # numpy's seeding would raise ValueError
-                raise ConfigError(f"noise seed must be non-negative, got {rng}")
-            rng = np.random.default_rng(rng)
-        add_noise(out, noise_sigma(noise_psd_dbm_hz, w.sample_rate), rng)
+    if noise_psd_dbm_hz is not None:  # default_rng passes a Generator through
+        add_noise(out, noise_sigma(noise_psd_dbm_hz, w.sample_rate), np.random.default_rng(rng))
     return replace(w, samples=out)

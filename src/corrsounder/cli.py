@@ -15,17 +15,20 @@ import argparse
 import csv
 import logging
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from .channel import synthesize_channel
+from .channel import apply_channel
 from .waveform import write_waveform
 from .correlator import (
-    correlate_fast,
     correlate_literal,
     dilated_period,
     get_preset,
+    make_cir,
     processing_gain,
     slide_factor,
     write_cir_csv,
@@ -41,14 +44,15 @@ from .scenario_io import (
     run_campaign,
 )
 from .sweep import (
+    Capture,
     LinkBudget,
     averaging_gain_db,
+    check_location,
     ci_fit,
     eirp,
     max_measurable_path_loss,
     noise_floor_dbm,
     probe_waveform,
-    receive,
 )
 
 log = logging.getLogger(__name__)
@@ -91,9 +95,13 @@ def _cmd_pn(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.dump_waveform and not args.out:
+        raise ConfigError("--dump-waveform writes into the --out directory; give --out")
+    if args.seed < 0:  # numpy's seeding would raise ValueError
+        raise ConfigError(f"noise seed must be non-negative, got {args.seed}")
     sc = load_scenario(_resolve_scenario(args.scenario))
     preset = get_preset(args.preset)
-    channel = synthesize_channel(sc, args.rx_index)
+    channel = check_location(sc, args.rx_index, preset)
     if not channel.paths:
         print("no propagation path exists; nothing to simulate")
         return 0
@@ -106,21 +114,20 @@ def _cmd_simulate(args) -> int:
     strongest = max(channel.paths, key=lambda p: p.gain)
     rx_az = args.rx_az if args.rx_az is not None else strongest.aoa_az_deg
     rx_loc = sc.rx_locations[args.rx_index]
-    received = receive(
-        preset,
-        probe_waveform(preset, sc.tx_power_dbm, "literal" if args.literal else "fast"),
-        channel,
-        sc.tx_pattern.pointed(*sc.tx_pointing_for(rx_loc)),
-        sc.rx_pattern.pointed(rx_az, sc.rx_elevation_deg),
-        sc.effective_noise_psd_dbm_hz,
-        args.seed,
-    )
-    correlate = correlate_literal if args.literal else correlate_fast
-    cir = correlate(received, preset.config, preset.chip_sequence())
+    rx_pattern = sc.rx_pattern.pointed(rx_az, sc.rx_elevation_deg)
+    rng = np.random.default_rng(args.seed)
+    if args.literal:  # the oracle: the whole dilated record, noise at the full PSD
+        tx_pattern = sc.tx_pattern.pointed(*sc.tx_pointing_for(rx_loc))
+        wave = probe_waveform(preset, sc.tx_power_dbm, "literal")
+        received = apply_channel(wave, channel, tx_pattern, rx_pattern, sc.effective_noise_psd_dbm_hz, rng)
+        cir = correlate_literal(received, preset.config, preset.chip_sequence())
+    else:
+        capture = Capture(sc, args.rx_index, preset, channel)
+        record, trace = capture.acquire(rx_pattern, rng)
+        received, cir = replace(capture.wave, samples=record), make_cir(trace, preset.config)
+    rx_az = rx_pattern.pointing_az_deg  # the pointing used: wrapped to [0, 360)
     pdp = threshold_pdp(
-        pdp_from_iq(
-            cir, system_pulse_energy_bins(preset), location=rx_loc.ident, angle=rx_az
-        )
+        pdp_from_iq(cir, system_pulse_energy_bins(preset), location=rx_loc.ident, angle=rx_az)
     )
     total = "none" if pdp.total_power_dbm is None else f"{pdp.total_power_dbm:.2f}"
     print(

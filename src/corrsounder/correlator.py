@@ -331,7 +331,8 @@ def _reference_full(cfg: CorrelatorConfig, fs: float, pn: ChipSequence, d: int) 
     return raw
 
 
-def _make_cir(compressed: np.ndarray, cfg: CorrelatorConfig) -> DilatedCir:
+def make_cir(compressed: np.ndarray, cfg: CorrelatorConfig) -> DilatedCir:
+    """The dilated CIR of one compressed trace (``compress``'s output)."""
     return DilatedCir(
         i_channel=compressed.real,
         q_channel=compressed.imag,
@@ -369,7 +370,7 @@ def correlate_literal(
     spectrum = np.fft.fft(rx_wave.samples[:d] * _reference_full(cfg, fs, pn, d))
     spectrum *= _lpf_spectrum(cfg, fs, d)
     filtered = np.fft.ifft(spectrum)
-    return _make_cir(filtered[::step], cfg)
+    return make_cir(filtered[::step], cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -508,11 +509,11 @@ def correlate_fast(
     Needs only one code period of input (more periods are folded before
     processing).  When the slow code is grid-periodic the polyphase kernel
     (``_polyphase_plan``) reproduces the literal mixer exactly, so the two
-    paths agree to numerical precision for the periodic signal part; noise
-    enters folded rather than streamed.
+    paths agree to numerical precision for the periodic signal part; a
+    ``sweep.Capture`` draws its noise on the one period, not streamed.
     """
     p, compress = fast_kernel(cfg, rx_wave.sample_rate, pn)
-    return _make_cir(compress(_fold(rx_wave.samples, p)), cfg)
+    return make_cir(compress(_fold(rx_wave.samples, p)), cfg)
 
 
 def write_cir_csv(cir: DilatedCir, path, cfg: CorrelatorConfig | None = None) -> None:

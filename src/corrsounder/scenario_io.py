@@ -268,8 +268,8 @@ class CampaignSpec:
     def __post_init__(self) -> None:
         if self.kind not in _CAMPAIGN_KINDS:
             raise ConfigError(f"campaign kind must be one of {_CAMPAIGN_KINDS}, got {self.kind!r}")
-        if self.kind == "single" and self.rx_index is None:
-            raise ConfigError("single campaigns need rx_index")
+        if (self.kind == "single") != (self.rx_index is not None):
+            raise ConfigError(f"rx_index goes with single campaigns only, which need one; got {self.rx_index}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 < self.speed_mps <= SPEED_OF_LIGHT:
@@ -356,10 +356,8 @@ def run_campaign(spec: CampaignSpec) -> ResultBundle:
         indices = list(range(len(sc.rx_locations)))
     channels = {}
     for index in indices:  # every check before anything is written
-        if not 0 <= index < len(sc.rx_locations):
-            raise ConfigError(f"rx_index {index} out of range for {len(sc.rx_locations)} locations")
         try:
-            channels[index] = check_location(sc, index, preset)
+            channels[index] = check_location(sc, index, preset)  # checks the index first
         except SimulationError:
             log.error("location %s: channel check failed", sc.rx_locations[index].ident)
             raise

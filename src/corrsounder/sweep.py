@@ -10,6 +10,7 @@ local-area statistics and fading rates.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
@@ -22,7 +23,6 @@ from .channel import (
     PathComponent,
     ScenarioConfig,
     add_noise,
-    apply_channel,
     fspl,
     noise_sigma,
     path_coefficients,
@@ -56,7 +56,7 @@ __all__ = [
     "check_sweep_options",
     "check_location",
     "probe_waveform",
-    "receive",
+    "Capture",
     "run_sweep",
     "omni_power",
     "path_loss",
@@ -140,42 +140,60 @@ def _check_delays(preset: SounderPreset, paths: tuple[PathComponent, ...]) -> No
 
 
 def check_location(sc: ScenarioConfig, rx_index: int, preset: SounderPreset) -> MultipathChannel:
-    """One location's channel, checked as :func:`receive` checks it.  A
-    campaign checks every location this way before it writes anything and
-    hands each channel to :func:`run_sweep`."""
+    """One location's channel, checked against the preset's noise-floor
+    window (a path there would raise the floor: ``SimulationError``), as
+    ``simulate`` and ``campaign`` check it before they write anything."""
     channel = synthesize_channel(sc, rx_index)  # checks rx_index first
     _check_delays(preset, channel.paths)
     return channel
 
 
-def _folded_psd(preset: SounderPreset, wave: SampledWaveform, noise_psd_dbm_hz: float) -> float:
-    folds = round(slide_factor(preset.config)) * wave.period_samples / len(wave)
-    return noise_psd_dbm_hz - 10.0 * math.log10(folds)
+def _folded_psd(preset: SounderPreset, noise_psd_dbm_hz: float) -> float:
+    return noise_psd_dbm_hz - 10.0 * math.log10(round(slide_factor(preset.config)))
 
 
-def receive(
-    preset: SounderPreset,
-    wave: SampledWaveform,
-    channel: MultipathChannel,
-    tx_pattern: AntennaPattern,
-    rx_pattern: AntennaPattern,
-    noise_psd_dbm_hz: float,
-    rng: np.random.Generator | int | None = None,
-) -> SampledWaveform:
-    """The channel plus receiver noise, referred to the record's length.
+class Capture:
+    """One receiver location's acquisition chain, set up once: each path's
+    delayed copy of the one-period probe, the noise level (the period stands
+    for the dilated record folded onto it: PSD - 10 log10(slide factor)),
+    the correlator's ``compress`` and, first used by :meth:`threshold`, which
+    fast ``simulate`` skips, the delay axis and the pulse footprint."""
 
-    A record shorter than the dilated period stands for the dilated record
-    folded onto it: averaging ``folds`` copies of white noise divides its
-    variance by ``folds``, so the noise PSD is lowered by 10 log10(folds).
-    The whole dilated record (``folds`` = 1) gets the PSD unchanged.
+    def __init__(
+        self, sc: ScenarioConfig, rx_index: int, preset: SounderPreset, channel: MultipathChannel
+    ) -> None:
+        cfg = preset.config
+        self.wave = probe_waveform(preset, sc.tx_power_dbm)
+        tx_pattern = sc.tx_pattern.pointed(*sc.tx_pointing_for(sc.rx_locations[rx_index]))
+        self.terms = path_terms(self.wave, channel, tx_pattern)
+        psd = _folded_psd(preset, sc.effective_noise_psd_dbm_hz)
+        self.sigma = noise_sigma(psd, self.wave.sample_rate)
+        self.period, self.compress = fast_kernel(cfg, self.wave.sample_rate, preset.chip_sequence())
+        self.preset = preset
 
-    A path whose delay plus one chip reaches the trailing tenth of the delay
-    axis, where :func:`~corrsounder.pdp.estimate_noise_floor` reads the
-    floor, is a ``SimulationError``: its pulse would silently raise the floor.
-    """
-    _check_delays(preset, channel.paths)
-    psd = _folded_psd(preset, wave, noise_psd_dbm_hz)
-    return apply_channel(wave, channel, tx_pattern, rx_pattern, psd, rng)
+    @functools.cached_property
+    def axis(self) -> np.ndarray:
+        cfg = self.preset.config
+        return delay_axis(
+            cfg.code_length * COMPRESSED_SAMPLES_PER_CHIP, cfg.compressed_sample_rate, slide_factor(cfg)
+        )
+
+    @functools.cached_property
+    def pulse_bins(self) -> float:
+        return system_pulse_energy_bins(self.preset)
+
+    def acquire(self, rx: AntennaPattern, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """One capture with the receive horn pointed as ``rx``: the received
+        one-period record (noise drawn from ``rng``) and its compressed trace,
+        as ``apply_channel`` and ``correlate_fast`` compute them."""
+        record = superpose(self.terms, path_coefficients(self.terms, rx), self.period)
+        add_noise(record, self.sigma, rng)
+        return record, self.compress(record)
+
+    def threshold(self, power: np.ndarray, metadata: dict) -> PowerDelayProfile:
+        """The thresholded PDP of a power trace on the location's delay axis."""
+        pdp = PowerDelayProfile(power, self.axis, pulse_bins=self.pulse_bins, metadata=metadata)
+        return threshold_pdp(pdp)
 
 
 def run_sweep(
@@ -194,16 +212,10 @@ def run_sweep(
 
     The angle grid starts at the spoke nearest the strongest path's arrival
     azimuth (the operator's best-pointing convention); power analyses are
-    invariant to that rotation.  Each (angle, sweep) acquisition applies the
-    channel with independently seeded noise, correlates, averages
-    ``averages`` captures non-coherently and thresholds the result.
-
-    Every capture computes exactly what :func:`receive`,
-    :func:`~corrsounder.correlator.correlate_fast` and
-    :func:`~corrsounder.pdp.pdp_from_iq` compute, through the same cores:
-    what depends only on the location (delayed probe copies, noise level,
-    correlator plan, delay axis) is set up once, the path weights once per
-    spoke, and a capture is array work only.  ``channel`` is the location's
+    invariant to that rotation.  Each (angle, sweep) acquisition runs
+    ``averages`` captures of the location's :class:`Capture`, each with its
+    own seeded noise, and thresholds the linear mean of their I^2 + Q^2
+    (``average_pdps``'s, bit for bit).  ``channel`` is the location's
     channel, built and checked by :func:`check_location`.
 
     Each thresholded PDP goes to ``pdp_sink``, when given, in (spoke, sweep)
@@ -220,41 +232,26 @@ def run_sweep(
         strongest = max(channel.paths, key=lambda p: p.gain)
         start = round(strongest.aoa_az_deg / step_deg) * step_deg
     grid = _angle_grid(step_deg, start)
-
-    # per location: what receive, correlate_fast and pdp_from_iq set up
-    wave = probe_waveform(preset, sc.tx_power_dbm)
-    tx_pattern = sc.tx_pattern.pointed(*sc.tx_pointing_for(rx_loc))
-    terms = path_terms(wave, channel, tx_pattern)
-    sigma = noise_sigma(_folded_psd(preset, wave, sc.effective_noise_psd_dbm_hz), wave.sample_rate)
-    cfg = preset.config
-    # the probe is one code period, so a capture has nothing to fold
-    period, compress = fast_kernel(cfg, wave.sample_rate, preset.chip_sequence())
-    axis = delay_axis(
-        cfg.code_length * COMPRESSED_SAMPLES_PER_CHIP, cfg.compressed_sample_rate, slide_factor(cfg)
-    )
-    pulse_bins = system_pulse_energy_bins(preset)
+    capture = Capture(sc, rx_index, preset, channel)
 
     spokes = []
     for ai, azimuth in enumerate(grid):
-        coefficients = path_coefficients(
-            terms, sc.rx_pattern.pointed(azimuth, sc.rx_elevation_deg)
-        )
+        rx_pattern = sc.rx_pattern.pointed(azimuth, sc.rx_elevation_deg)
         totals = []
         for s in range(sweeps):
-            powers = []
             for a in range(averages):
                 rng = np.random.default_rng((seed, rx_index, ai, s, a))
-                received = superpose(terms, coefficients, period)
-                add_noise(received, sigma, rng)
-                compressed = compress(received)
-                powers.append(compressed.real**2 + compressed.imag**2)
+                trace = capture.acquire(rx_pattern, rng)[1]
+                if a:
+                    power += trace.real**2 + trace.imag**2
+                else:  # the first capture's array becomes the running sum
+                    power = trace.real**2 + trace.imag**2
+                del trace  # so the next capture reuses its memory (fewer page faults)
             metadata = {"angle": azimuth, "location": rx_loc.ident, "sweep": s}
             if averages > 1:  # average_pdps's mean and tag
+                power /= averages
                 metadata["averaged"] = averages
-            power = powers[0] if averages == 1 else np.mean(powers, axis=0)
-            pdp = threshold_pdp(PowerDelayProfile(
-                power_mw=power, excess_delay_s=axis, pulse_bins=pulse_bins, metadata=metadata
-            ))
+            pdp = capture.threshold(power, metadata)
             if pdp_sink is not None:
                 pdp_sink(pdp)
             if pdp.total_power_dbm is not None:

@@ -321,6 +321,23 @@ class TestTemplatePlan:
         assert 20 * np.log10(np.abs(lit - fast).max() / np.abs(lit).max()) <= -17.0
 
 
+class TestCompressLinearity:
+    @pytest.mark.parametrize("name", ["desk", "full"])
+    def test_weighted_sum_of_inputs(self, name):
+        # compress(a x + b y) = a compress(x) + b compress(y), with x a
+        # delayed probe period and y white noise: a capture's signal and
+        # noise responses add, on both kernel branches
+        sounder = get_preset(name)
+        p, compress = fast_kernel(sounder.config, sounder.sample_rate, sounder.chip_sequence())
+        x = np.roll(sounder.transmit_waveform().samples, 10 * sounder.samples_per_chip)
+        rng = np.random.default_rng(5)
+        y = rng.standard_normal(p) + 1j * rng.standard_normal(p)
+        a, b = 0.7 - 1.9j, -2.3 + 0.4j
+        both = compress(a * x + b * y)
+        separate = a * compress(x) + b * compress(y)
+        assert np.abs(both - separate).max() <= 1e-13 * np.abs(both).max()
+
+
 class TestPulseCalibration:
     def test_single_path_total_equals_peak(self, desk):
         bins = system_pulse_energy_bins(desk)

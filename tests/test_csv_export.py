@@ -10,7 +10,6 @@ import math
 import numpy as np
 import pytest
 
-from corrsounder.channel import synthesize_channel
 from corrsounder.cli import shipped_scenario_path
 from corrsounder.correlator import (
     CSV_BLOCK_ROWS,
@@ -18,11 +17,12 @@ from corrsounder.correlator import (
     correlate_fast,
     desk_preset,
     full_preset,
+    make_cir,
     write_cir_csv,
 )
 from corrsounder.pdp import PowerDelayProfile, pdp_from_iq, threshold_pdp, write_pdp_csv
 from corrsounder.scenario_io import load_scenario
-from corrsounder.sweep import check_location, receive, run_sweep
+from corrsounder.sweep import Capture, check_location, run_sweep
 
 
 def _dbm(power_mw: float) -> float:
@@ -86,18 +86,12 @@ def full():
 @pytest.fixture(scope="module")
 def full_cir(full):
     sc = load_scenario(shipped_scenario_path("corner_route"))
-    channel = synthesize_channel(sc, 3)
+    channel = check_location(sc, 3, full)
     strongest = max(channel.paths, key=lambda p: p.gain)
-    received = receive(
-        full,
-        full.transmit_waveform(periods=1),
-        channel,
-        sc.tx_pattern.pointed(*sc.tx_pointing_for(sc.rx_locations[3])),
-        sc.rx_pattern.pointed(strongest.aoa_az_deg, sc.rx_elevation_deg),
-        sc.effective_noise_psd_dbm_hz,
-        3,
+    _, trace = Capture(sc, 3, full, channel).acquire(
+        sc.rx_pattern.pointed(strongest.aoa_az_deg, sc.rx_elevation_deg), np.random.default_rng(3)
     )
-    return correlate_fast(received, full.config, full.chip_sequence())
+    return make_cir(trace, full.config)
 
 
 class TestPdpCsvOracle:

@@ -397,6 +397,15 @@ class TestRunCampaign:
         with pytest.raises(ConfigError, match="rx_index"):
             replace(spec, kind="single", rx_index=None)
 
+    @pytest.mark.parametrize("kind", ["route", "cluster"])
+    def test_rx_index_refused_off_single_kind(self, mini_campaign, kind):
+        # it would change nothing but the manifest's config hash
+        spec, _ = mini_campaign
+        from dataclasses import replace
+
+        with pytest.raises(ConfigError, match="rx_index goes with single campaigns only"):
+            replace(spec, kind=kind, rx_index=0)
+
     def test_cluster_kind(self, tmp_path, mini_campaign):
         spec, _ = mini_campaign
         from dataclasses import replace
@@ -527,6 +536,32 @@ class TestCli:
         ]) == 2
         assert not out.exists()
 
+    def test_simulate_dump_waveform_without_out_exit_code(self, tmp_path, capsys, monkeypatch):
+        # the record has nowhere to go: refused before any work or output
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(["simulate", "--scenario", "corner_route", "--rx-index", "3", "--dump-waveform"]) == 2
+        assert capsys.readouterr().out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "rx_az, used", [("720", 0.0), ("-90", 270.0), ("1e300", 1e300 % 360.0)],
+        ids=["two-turns", "negative", "huge"],
+    )
+    def test_simulate_reports_the_pointing_used(self, tmp_path, capsys, rx_az, used):
+        # the summary line and pdp.csv give the wrapped azimuth the horn
+        # pointed at, and that azimuth given directly captures the same bytes
+        pdps = []
+        for arg in (rx_az, repr(used)):
+            out = tmp_path / arg
+            assert cli_main([
+                "simulate", "--scenario", "corner_route", "--rx-index", "3",
+                f"--rx-az={arg}", "--out", str(out),
+            ]) == 0
+            assert f"RX beam at {used:.1f} deg: peak" in capsys.readouterr().out
+            pdps.append((out / "pdp.csv").read_bytes())
+        assert f"# angle={used!r}\n".encode() in pdps[0]
+        assert pdps[0] == pdps[1]
+
     @pytest.mark.parametrize("rx_az", ["nan", "inf", "-inf"])
     def test_bad_rx_az_exit_code(self, tmp_path, capsys, rx_az):
         out = tmp_path / "sim"
@@ -553,8 +588,13 @@ class TestCli:
             ["--kind", "route", "--speed=-35"],
             ["--kind", "route", "--seed=-1"],
             ["--kind", "route", "--sweeps", str(10**30)],
+            ["--kind", "route", "--rx-index", "1"],
+            ["--kind", "cluster", "--rx-index", "0"],
         ],
-        ids=["rx-index-out-of-range", "speed-nan", "speed-negative", "seed-negative", "sweeps-huge"],
+        ids=[
+            "rx-index-out-of-range", "speed-nan", "speed-negative", "seed-negative", "sweeps-huge",
+            "rx-index-on-route", "rx-index-on-cluster",
+        ],
     )
     def test_bad_campaign_input_exit_code(self, mini_path, tmp_path, extra):
         assert cli_main(["campaign", "--scenario", str(mini_path), *extra, "--out", str(tmp_path / "o")]) == 2
@@ -711,8 +751,7 @@ _ARGV_FUZZ = {
         {"--rx-index": _INT_TEXT, "--rx-az": _FLOAT_TEXT, "--seed": _INT_TEXT},
     ),
     "campaign": (
-        ["--scenario", "corner_route", "--kind", "single", "--rx-index", "3",
-         "--step-deg", "90", "--sweeps", "1"],
+        ["--scenario", "corner_route", "--step-deg", "90", "--sweeps", "1"],
         {
             "--rx-index": _INT_TEXT, "--step-deg": _FLOAT_TEXT, "--sweeps": _INT_TEXT,
             "--averages": _INT_TEXT, "--seed": _INT_TEXT, "--speed": _FLOAT_TEXT,
@@ -736,11 +775,22 @@ class TestCliArgvFuzz:
     @given(data=st.data())
     def test_numeric_flags_exit_cleanly(self, fuzz_dir, data):
         # any value of any numeric flag ends in a documented exit code,
-        # prints no NaN, and a failed run leaves no output directory
+        # prints no NaN, and a failed run leaves no output directory.  A
+        # receiver index on a route or cluster campaign, and --dump-waveform
+        # without --out, are refused
         verb = data.draw(st.sampled_from(sorted(_ARGV_FUZZ)), label="verb")
         base, flags = _ARGV_FUZZ[verb]
         chosen = data.draw(st.lists(st.sampled_from(sorted(flags)), min_size=1, unique=True), label="flags")
         argv = [verb, *base]
+        refused = False
+        if verb == "campaign":
+            kind = data.draw(st.sampled_from(["single", "route", "cluster"]), label="kind")
+            argv += ["--kind", kind]
+            if kind == "single":
+                argv += ["--rx-index", "3"]
+            elif "--rx-index" not in chosen:
+                chosen.append("--rx-index")
+            refused = kind != "single"
         for flag in chosen:
             argv.append(f"{flag}={data.draw(flags[flag], label=flag)}")
         out = fuzz_dir / "argv-out"
@@ -750,8 +800,13 @@ class TestCliArgvFuzz:
             points = fuzz_dir / "points.csv"
             points.write_text("distance_m,path_loss_db\n10,100\n30,115\n")
             argv.append(str(points))
-        elif verb in ("simulate", "campaign"):
+        elif verb == "campaign":
             argv += ["--out", str(out)]
+        elif verb == "simulate":
+            dump = data.draw(st.booleans(), label="--dump-waveform")
+            with_out = data.draw(st.booleans(), label="--out")
+            argv += ["--dump-waveform"] * dump + ["--out", str(out)] * with_out
+            refused = dump and not with_out
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
             try:
@@ -759,6 +814,8 @@ class TestCliArgvFuzz:
             except SystemExit as exc:  # argparse refuses the text
                 code = exc.code
         assert code in (0, 2, 3, 4), argv
+        if refused:
+            assert code == 2, argv
         assert "nan" not in stdout.getvalue().lower(), argv
         if code != 0:
             assert not out.exists(), argv

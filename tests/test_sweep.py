@@ -18,16 +18,31 @@ from corrsounder.channel import (
     fspl,
     synthesize_channel,
 )
-from corrsounder.cli import shipped_scenario_path
-from corrsounder.correlator import correlate_fast, desk_preset, get_preset, processing_gain
-from corrsounder.pdp import average_pdps, pdp_from_iq, system_pulse_energy_bins, threshold_pdp
+from corrsounder.cli import main as cli_main, shipped_scenario_path
+from corrsounder.correlator import (
+    correlate_fast,
+    desk_preset,
+    get_preset,
+    processing_gain,
+    slide_factor,
+    write_cir_csv,
+)
+from corrsounder.pdp import (
+    average_pdps,
+    pdp_from_iq,
+    system_pulse_energy_bins,
+    threshold_pdp,
+    write_pdp_csv,
+)
 from corrsounder.scenario_io import load_scenario
 from corrsounder.errors import AnalysisError, ConfigError, SimulationError
 from corrsounder.sweep import (
     ABSENT_POWER_DBM,
     MAX_AZIMUTH_SPOKES,
     MAX_LOCATION_CAPTURES,
+    Capture,
     LinkBudget,
+    _check_delays,
     angular_spectrum,
     averaging_gain_db,
     check_location,
@@ -41,7 +56,6 @@ from corrsounder.sweep import (
     omni_power,
     path_loss,
     probe_waveform,
-    receive,
     run_sweep,
 )
 
@@ -356,25 +370,29 @@ class TestStreamedPdps:
 
 class TestFoldedNoise:
     def test_one_period_noise_matches_folded_full_record(self, desk):
-        # noise drawn on one code period at PSD - 10 log10(slide factor) must
-        # give the same mean correlator power as noise drawn on the whole
-        # dilated record and folded by correlate_fast
+        # a capture's noise, drawn on one code period at PSD - 10 log10(slide
+        # factor), must give the same mean correlator power as noise drawn on
+        # the whole dilated record and folded by correlate_fast
         silent = MultipathChannel(paths=(), carrier_hz=73.5e9)
         iso = AntennaPattern.isotropic()
+        sc = ScenarioConfig(
+            name="silent", tx_pattern=iso, rx_pattern=iso, noise_psd_dbm_hz=-100.0,
+            noise_figure_db=0.0, rx_locations=(RxLocation("R", (10.0, 0.0, 4.0)),),
+        )
+        capture = Capture(sc, 0, desk, silent)
         chips = desk.chip_sequence()
-        one_period = probe_waveform(desk, 0.0, "fast")
         full_record = probe_waveform(desk, 0.0, "literal")
         acquisitions = (
-            lambda rng: receive(desk, one_period, silent, iso, iso, -100.0, rng),
-            lambda rng: apply_channel(full_record, silent, iso, iso, -100.0, rng),
+            lambda rng: capture.acquire(iso, rng)[1],
+            lambda rng: correlate_fast(
+                apply_channel(full_record, silent, iso, iso, -100.0, rng), desk.config, chips
+            ).cir,
         )
         draws = 100
         stats = []
         for acquire in acquisitions:
             powers = [
-                np.mean(np.abs(correlate_fast(
-                    acquire(np.random.default_rng((k, 1))), desk.config, chips
-                ).cir) ** 2)
+                np.mean(np.abs(acquire(np.random.default_rng((k, 1)))) ** 2)
                 for k in range(draws)
             ]
             stats.append((np.mean(powers), np.std(powers, ddof=1) / math.sqrt(draws)))
@@ -387,10 +405,17 @@ class TestFoldedNoise:
         assert abs(one - full) <= tolerance
 
 
+def folded_psd(sc: ScenarioConfig, preset) -> float:
+    """The receiver PSD a one-period capture draws its noise at."""
+    return sc.effective_noise_psd_dbm_hz - 10.0 * math.log10(round(slide_factor(preset.config)))
+
+
 class TestSweepMatchesPublicStages:
-    """run_sweep sets each location up once and runs its captures as array
-    work; every thresholded PDP must still be what the public stages give
-    capture by capture, with the sweep's per-capture seeds."""
+    """A sweep runs each location's captures through its Capture object, set
+    up once; every thresholded PDP must still be what the public stages
+    (apply_channel at the folded PSD, correlate_fast, pdp_from_iq,
+    average_pdps, threshold_pdp) give capture by capture, with the sweep's
+    per-capture seeds."""
 
     @pytest.mark.parametrize(
         "preset_name, rx_index, step_deg, sweeps, averages",
@@ -421,8 +446,8 @@ class TestSweepMatchesPublicStages:
             for s in range(sweeps):
                 got = pdps[ai * sweeps + s]
                 captures = [
-                    pdp_from_iq(correlate_fast(receive(
-                        preset, wave, channel, tx, rx, sc.effective_noise_psd_dbm_hz,
+                    pdp_from_iq(correlate_fast(apply_channel(
+                        wave, channel, tx, rx, folded_psd(sc, preset),
                         np.random.default_rng((seed, rx_index, ai, s, a)),
                     ), preset.config, chips), pulse_bins,
                         angle=azimuth, location=rx_loc.ident, sweep=s)
@@ -438,6 +463,49 @@ class TestSweepMatchesPublicStages:
                 assert got.total_power_dbm == pytest.approx(want.total_power_dbm, abs=1e-9)
                 assert got.metadata == want.metadata
 
+    @pytest.mark.parametrize("preset_name", ["desk", "full"])
+    def test_single_capture(self, preset_name):
+        # simulate's fast path: one capture seeded with default_rng(seed) is
+        # apply_channel's record bit for bit, and correlate_fast's trace
+        preset = get_preset(preset_name)
+        sc = load_scenario(shipped_scenario_path("corner_route"))
+        channel = check_location(sc, 3, preset)
+        rx = sc.rx_pattern.pointed(200.0, sc.rx_elevation_deg)
+        record, trace = Capture(sc, 3, preset, channel).acquire(rx, np.random.default_rng(7))
+        received = apply_channel(
+            probe_waveform(preset, sc.tx_power_dbm), channel,
+            sc.tx_pattern.pointed(*sc.tx_pointing_for(sc.rx_locations[3])), rx,
+            folded_psd(sc, preset), 7,
+        )
+        assert np.array_equal(record, received.samples)
+        want = correlate_fast(received, preset.config, preset.chip_sequence()).cir
+        assert np.abs(trace - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_simulate_writes_the_public_stages_bytes(self, desk, tmp_path):
+        # simulate's one capture, seeded with default_rng(seed), gives the
+        # CIR and PDP files of the stage-by-stage chain at the folded PSD
+        out = tmp_path / "sim"
+        assert cli_main([
+            "simulate", "--scenario", "corner_route", "--rx-index", "5", "--seed", "1", "--out", str(out),
+        ]) == 0
+        sc = load_scenario(shipped_scenario_path("corner_route"))
+        channel = synthesize_channel(sc, 5)
+        rx_loc = sc.rx_locations[5]
+        azimuth = max(channel.paths, key=lambda p: p.gain).aoa_az_deg
+        received = apply_channel(
+            probe_waveform(desk, sc.tx_power_dbm), channel,
+            sc.tx_pattern.pointed(*sc.tx_pointing_for(rx_loc)),
+            sc.rx_pattern.pointed(azimuth, sc.rx_elevation_deg), folded_psd(sc, desk), 1,
+        )
+        cir = correlate_fast(received, desk.config, desk.chip_sequence())
+        pdp = threshold_pdp(pdp_from_iq(
+            cir, system_pulse_energy_bins(desk), location=rx_loc.ident, angle=azimuth
+        ))
+        write_cir_csv(cir, tmp_path / "cir.csv", desk.config)
+        write_pdp_csv(pdp, tmp_path / "pdp.csv")
+        for name in ("cir.csv", "pdp.csv"):
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+
 
 class TestNoiseWindowGuard:
     # estimate_noise_floor reads the trailing tenth of the delay axis: from
@@ -446,37 +514,30 @@ class TestNoiseWindowGuard:
     WINDOW_S = {"desk": 1829 / 16 * 1e-6, "full": 29477 / 16 * 2e-9}
 
     @staticmethod
-    def acquire(preset, delay_s):
-        iso = AntennaPattern.isotropic()
-        channel = MultipathChannel(
-            paths=(
-                PathComponent(100e-9, 1e-4, 0.0, 0.0, 0.0, 180.0, 0.0),
-                PathComponent(delay_s, 1e-5, 0.0, 0.0, 0.0, 0.0, 0.0, kind="reflection"),
-            ),
-            carrier_hz=73.5e9,
-        )
-        return receive(preset, probe_waveform(preset, 0.0), channel, iso, iso, -174.0, 0)
+    def check(preset, delay_s):
+        # the rule check_location applies to every location's paths
+        _check_delays(preset, (
+            PathComponent(100e-9, 1e-4, 0.0, 0.0, 0.0, 180.0, 0.0),
+            PathComponent(delay_s, 1e-5, 0.0, 0.0, 0.0, 0.0, 0.0, kind="reflection"),
+        ))
 
     @pytest.mark.parametrize("name", ["desk", "full"])
     def test_path_reaching_the_window_rejected(self, name):
         preset = get_preset(name)
         chip_s = 1.0 / preset.config.tx_chip_rate
         edge_s = self.WINDOW_S[name] - chip_s
-        self.acquire(preset, edge_s - 0.01 * chip_s)
+        self.check(preset, edge_s - 0.01 * chip_s)
         for delay_s in (edge_s + 0.01 * chip_s, self.WINDOW_S[name]):
             with pytest.raises(SimulationError, match=r"reflection path at .* noise-floor window"):
-                self.acquire(preset, delay_s)
+                self.check(preset, delay_s)
 
     @pytest.mark.parametrize("scenario", ["corner_route", "corner_clusters"])
     def test_shipped_scenarios_clear_of_the_window(self, scenario):
         sc = load_scenario(shipped_scenario_path(scenario))
         full = get_preset("full")
-        iso = AntennaPattern.isotropic()
-        wave = probe_waveform(full, sc.tx_power_dbm)
         for k in range(len(sc.rx_locations)):
-            channel = synthesize_channel(sc, k)
+            channel = check_location(sc, k, full)
             assert all(p.delay_s < 0.5e-6 for p in channel.paths)
-            receive(full, wave, channel, iso, iso, sc.effective_noise_psd_dbm_hz, k)
 
 
 def angular_lobes(table, margin_db):
