@@ -127,7 +127,7 @@ class AntennaPattern:
         ``el`` (degrees); a non-finite angle is a ``ConfigError``."""
         if not (math.isfinite(az) and math.isfinite(el)):
             raise ConfigError(f"pointing must be finite, got azimuth {az}, elevation {el}")
-        return replace(self, pointing_az_deg=az % 360.0, pointing_el_deg=el)
+        return replace(self, pointing_az_deg=_wrap_az_deg(az), pointing_el_deg=el)
 
     @staticmethod
     def tx_horn() -> "AntennaPattern":
@@ -142,6 +142,12 @@ class AntennaPattern:
     @staticmethod
     def isotropic() -> "AntennaPattern":
         return AntennaPattern(0.0, 179.0, 179.0, floor_db=0.0)
+
+
+def _wrap_az_deg(az: float) -> float:
+    # az % 360.0 alone is 360.0 for a tiny negative az (-1e-20 % 360.0)
+    wrapped = az % 360.0
+    return 0.0 if wrapped == 360.0 else wrapped
 
 
 def _wrap_delta_deg(delta: float) -> float:
@@ -280,7 +286,7 @@ def _blocked(p, q, walls, shrink: float = 1e-6) -> bool:
 
 
 def _azimuth_deg(frm, to) -> float:
-    return math.degrees(math.atan2(to[1] - frm[1], to[0] - frm[0])) % 360.0
+    return _wrap_az_deg(math.degrees(math.atan2(to[1] - frm[1], to[0] - frm[0])))
 
 
 def _mirror_across(point, a, b):

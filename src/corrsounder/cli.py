@@ -116,19 +116,19 @@ def _cmd_simulate(args) -> int:
     rx_loc = sc.rx_locations[args.rx_index]
     rx_pattern = sc.rx_pattern.pointed(rx_az, sc.rx_elevation_deg)
     rng = np.random.default_rng(args.seed)
+    rx_az = rx_pattern.pointing_az_deg  # the pointing used: wrapped to [0, 360)
+    metadata = {"location": rx_loc.ident, "angle": rx_az}
     if args.literal:  # the oracle: the whole dilated record, noise at the full PSD
         tx_pattern = sc.tx_pattern.pointed(*sc.tx_pointing_for(rx_loc))
         wave = probe_waveform(preset, sc.tx_power_dbm, "literal")
         received = apply_channel(wave, channel, tx_pattern, rx_pattern, sc.effective_noise_psd_dbm_hz, rng)
         cir = correlate_literal(received, preset.config, preset.chip_sequence())
+        pdp = threshold_pdp(pdp_from_iq(cir, system_pulse_energy_bins(preset), **metadata))
     else:
         capture = Capture(sc, args.rx_index, preset, channel)
         record, trace = capture.acquire(rx_pattern, rng)
         received, cir = replace(capture.wave, samples=record), make_cir(trace, preset.config)
-    rx_az = rx_pattern.pointing_az_deg  # the pointing used: wrapped to [0, 360)
-    pdp = threshold_pdp(
-        pdp_from_iq(cir, system_pulse_energy_bins(preset), location=rx_loc.ident, angle=rx_az)
-    )
+        pdp = capture.threshold(trace.real**2 + trace.imag**2, metadata)[1]
     total = "none" if pdp.total_power_dbm is None else f"{pdp.total_power_dbm:.2f}"
     print(
         f"RX beam at {rx_az:.1f} deg: peak {pdp.peak_power_dbm:.2f} dBm, "

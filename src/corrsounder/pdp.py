@@ -34,6 +34,7 @@ __all__ = [
     "average_pdps",
     "estimate_noise_floor",
     "noise_window_start",
+    "threshold_in_place",
     "threshold_pdp",
     "write_pdp_csv",
     "pulse_energy_bins",
@@ -158,6 +159,12 @@ def _median(values: np.ndarray) -> float:
     return float((part[mid - 1] + part[mid]) / 2.0)
 
 
+def _floor_dbm(power: np.ndarray) -> float:
+    if power.size < 100:
+        raise AnalysisError(f"need >= 100 samples to estimate a noise floor, got {power.size}")
+    return _dbm(_median(power[noise_window_start(power.size) :]))
+
+
 def estimate_noise_floor(pdp: PowerDelayProfile) -> float:
     """Median power over the trailing 10% of the delay axis, in dBm.
 
@@ -165,34 +172,42 @@ def estimate_noise_floor(pdp: PowerDelayProfile) -> float:
     median is a multipath-robust floor estimate.  Returns -inf for a
     zero-noise profile.
     """
-    if len(pdp) < 100:
-        raise AnalysisError(f"need >= 100 samples to estimate a noise floor, got {len(pdp)}")
-    return _dbm(_median(pdp.power_mw[noise_window_start(len(pdp)) :]))
+    return _floor_dbm(pdp.power_mw)
+
+
+def threshold_in_place(
+    power: np.ndarray, pulse_bins: float, floor_dbm: float | None = None
+) -> tuple[float, float, float | None]:
+    """Apply the max(peak - 20 dB, floor + 5 dB) threshold rule to ``power``
+    in place: bins below the threshold (and NaN bins) are zeroed.
+
+    The floor is :func:`estimate_noise_floor`'s unless ``floor_dbm`` is
+    given.  Returns (floor, threshold, total) in dBm, where the total sums
+    the surviving bins divided by ``pulse_bins`` (see module doc) and is
+    None when no bin survives, a signal-absent acquisition.
+    """
+    if floor_dbm is None:
+        floor_dbm = _floor_dbm(power)
+    peak = _dbm(float(power.max(initial=0.0)))
+    threshold = max(peak - PEAK_WINDOW_DB, floor_dbm + SNR_MARGIN_DB)
+    drop = power >= 10.0 ** (threshold / 10.0)
+    np.logical_not(drop, out=drop)  # below the threshold, or NaN
+    np.copyto(power, 0.0, where=drop)
+    total = float(power.sum()) / pulse_bins
+    return floor_dbm, threshold, _dbm(total) if power.any() else None
 
 
 def threshold_pdp(pdp: PowerDelayProfile) -> PowerDelayProfile:
-    """Apply the max(peak - 20 dB, floor + 5 dB) threshold rule.
+    """The profile with :func:`threshold_in_place` applied to a copy of its
+    power, on its own ``noise_floor_dbm`` when set.
 
-    Samples below the threshold are zeroed.  ``total_power_dbm`` integrates
-    the survivors (divided by the pulse energy footprint, see module doc);
-    it stays None when nothing survives, which downstream code treats as a
-    signal-absent acquisition.
+    ``total_power_dbm`` stays None when nothing survives, which downstream
+    code treats as a signal-absent acquisition.
     """
-    floor = pdp.noise_floor_dbm
-    if floor is None:
-        floor = estimate_noise_floor(pdp)
-    peak = pdp.peak_power_dbm
-    threshold = max(peak - PEAK_WINDOW_DB, floor + SNR_MARGIN_DB)
-    surviving = np.where(
-        pdp.power_mw >= 10.0 ** (threshold / 10.0), pdp.power_mw, 0.0
-    )
-    total = float(surviving.sum()) / pdp.pulse_bins
+    power = pdp.power_mw.copy()
+    floor, threshold, total = threshold_in_place(power, pdp.pulse_bins, pdp.noise_floor_dbm)
     return replace(
-        pdp,
-        power_mw=surviving,
-        noise_floor_dbm=floor,
-        threshold_dbm=threshold,
-        total_power_dbm=_dbm(total) if surviving.any() else None,
+        pdp, power_mw=power, noise_floor_dbm=floor, threshold_dbm=threshold, total_power_dbm=total
     )
 
 

@@ -10,7 +10,6 @@ local-area statistics and fading rates.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
@@ -43,7 +42,7 @@ from .pdp import (
     delay_axis,
     noise_window_start,
     system_pulse_energy_bins,
-    threshold_pdp,
+    threshold_in_place,
 )
 from .waveform import SampledWaveform
 
@@ -156,8 +155,8 @@ class Capture:
     """One receiver location's acquisition chain, set up once: each path's
     delayed copy of the one-period probe, the noise level (the period stands
     for the dilated record folded onto it: PSD - 10 log10(slide factor)),
-    the correlator's ``compress`` and, first used by :meth:`threshold`, which
-    fast ``simulate`` skips, the delay axis and the pulse footprint."""
+    the correlator's ``compress``, the pulse footprint and the delay axis
+    (the preset's cached read-only one, which only a kept PDP uses)."""
 
     def __init__(
         self, sc: ScenarioConfig, rx_index: int, preset: SounderPreset, channel: MultipathChannel
@@ -169,18 +168,12 @@ class Capture:
         psd = _folded_psd(preset, sc.effective_noise_psd_dbm_hz)
         self.sigma = noise_sigma(psd, self.wave.sample_rate)
         self.period, self.compress = fast_kernel(cfg, self.wave.sample_rate, preset.chip_sequence())
-        self.preset = preset
-
-    @functools.cached_property
-    def axis(self) -> np.ndarray:
-        cfg = self.preset.config
-        return delay_axis(
+        # fetched here, before any capture's arrays exist, so that the
+        # pulse calibration does not add to a capture's peak memory
+        self.pulse_bins = system_pulse_energy_bins(preset)
+        self.axis = delay_axis(
             cfg.code_length * COMPRESSED_SAMPLES_PER_CHIP, cfg.compressed_sample_rate, slide_factor(cfg)
         )
-
-    @functools.cached_property
-    def pulse_bins(self) -> float:
-        return system_pulse_energy_bins(self.preset)
 
     def acquire(self, rx: AntennaPattern, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """One capture with the receive horn pointed as ``rx``: the received
@@ -190,10 +183,20 @@ class Capture:
         add_noise(record, self.sigma, rng)
         return record, self.compress(record)
 
-    def threshold(self, power: np.ndarray, metadata: dict) -> PowerDelayProfile:
-        """The thresholded PDP of a power trace on the location's delay axis."""
-        pdp = PowerDelayProfile(power, self.axis, pulse_bins=self.pulse_bins, metadata=metadata)
-        return threshold_pdp(pdp)
+    def threshold(
+        self, power: np.ndarray, metadata: dict | None = None
+    ) -> tuple[float | None, PowerDelayProfile | None]:
+        """Threshold a power trace in place (:func:`threshold_in_place`,
+        with the location's pulse footprint).  Returns its total power in
+        dBm (None when nothing survives) and, only when ``metadata`` is
+        given, the thresholded PDP built on ``power`` and the delay axis."""
+        floor, threshold, total = threshold_in_place(power, self.pulse_bins)
+        if metadata is None:
+            return total, None
+        return total, PowerDelayProfile(
+            power, self.axis, noise_floor_dbm=floor, threshold_dbm=threshold,
+            total_power_dbm=total, pulse_bins=self.pulse_bins, metadata=metadata,
+        )
 
 
 def run_sweep(
@@ -215,12 +218,13 @@ def run_sweep(
     invariant to that rotation.  Each (angle, sweep) acquisition runs
     ``averages`` captures of the location's :class:`Capture`, each with its
     own seeded noise, and thresholds the linear mean of their I^2 + Q^2
-    (``average_pdps``'s, bit for bit).  ``channel`` is the location's
-    channel, built and checked by :func:`check_location`.
+    (``average_pdps``'s, bit for bit) in place.  ``channel`` is the
+    location's channel, built and checked by :func:`check_location`.
 
-    Each thresholded PDP goes to ``pdp_sink``, when given, in (spoke, sweep)
-    order and is then dropped, so memory does not grow with the spoke or
-    sweep count.  Returns one ``(azimuth, best_power_dbm)`` pair per spoke
+    With a ``pdp_sink``, each acquisition's thresholded PDP is built and
+    handed to it in (spoke, sweep) order and then dropped, so memory does
+    not grow with the spoke or sweep count.  Without one, no PDP is built:
+    only each acquisition's total power is kept.  Returns one ``(azimuth, best_power_dbm)`` pair per spoke
     in grid order: the strongest total power over its sweeps, or None when
     no sweep kept a sample (a signal-absent spoke).
     """
@@ -247,15 +251,18 @@ def run_sweep(
                 else:  # the first capture's array becomes the running sum
                     power = trace.real**2 + trace.imag**2
                 del trace  # so the next capture reuses its memory (fewer page faults)
-            metadata = {"angle": azimuth, "location": rx_loc.ident, "sweep": s}
-            if averages > 1:  # average_pdps's mean and tag
+            if averages > 1:  # average_pdps's mean
                 power /= averages
-                metadata["averaged"] = averages
-            pdp = capture.threshold(power, metadata)
-            if pdp_sink is not None:
+            if pdp_sink is None:
+                total = capture.threshold(power)[0]
+            else:
+                metadata = {"angle": azimuth, "location": rx_loc.ident, "sweep": s}
+                if averages > 1:  # and average_pdps's tag
+                    metadata["averaged"] = averages
+                total, pdp = capture.threshold(power, metadata)
                 pdp_sink(pdp)
-            if pdp.total_power_dbm is not None:
-                totals.append(pdp.total_power_dbm)
+            if total is not None:
+                totals.append(total)
         spokes.append((azimuth, max(totals) if totals else None))
     return spokes
 

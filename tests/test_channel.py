@@ -15,6 +15,7 @@ from corrsounder.channel import (
     SPEED_OF_LIGHT,
     ScenarioConfig,
     Wall,
+    _azimuth_deg,
     apply_channel,
     fresnel_parameter,
     fspl,
@@ -75,6 +76,19 @@ class TestPatternGain:
         assert pattern_gain(p, 1.0, 0.0) == pytest.approx(
             pattern_gain(p, 357.0, 0.0), abs=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "az, wrapped", [(-1e-20, 0.0), (-0.0, 0.0), (360.0, 0.0), (-90.0, 270.0), (719.5, 359.5)]
+    )
+    def test_pointing_wraps_into_one_turn(self, az, wrapped):
+        # a tiny negative azimuth rounds to 360.0 under % alone
+        got = AntennaPattern.rx_horn().pointed(az, 0.0).pointing_az_deg
+        assert got == wrapped and 0.0 <= got < 360.0
+
+    def test_bearing_just_below_east_is_zero(self):
+        # atan2 of a tiny negative y is a tiny negative angle
+        assert _azimuth_deg((0.0, 0.0), (1.0, -1e-300)) == 0.0
+        assert _azimuth_deg((0.0, 0.0), (0.0, -1.0)) == 270.0
 
     def test_monotone_rolloff_to_floor(self):
         p = AntennaPattern.rx_horn()

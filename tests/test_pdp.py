@@ -20,6 +20,7 @@ from corrsounder.pdp import (
     average_pdps,
     estimate_noise_floor,
     pdp_from_iq,
+    threshold_in_place,
     threshold_pdp,
     write_pdp_csv,
 )
@@ -204,6 +205,53 @@ class TestThreshold:
             assert out.power_mw.max() > 0
         else:  # too close to the floor: the whole profile is signal-absent
             assert out.total_power_dbm is None
+
+    @pytest.mark.parametrize("short", [50, 99])
+    def test_short_profile_needs_a_floor(self, short):
+        # threshold_pdp and the in-place core keep estimate_noise_floor's
+        # refusal below 100 bins
+        pdp = make_pdp(np.ones(short))
+        for threshold in (threshold_pdp, lambda p: threshold_in_place(p.power_mw.copy(), 1.0)):
+            with pytest.raises(AnalysisError, match=">= 100 samples"):
+                threshold(pdp)
+
+    @pytest.mark.parametrize("case", ["noise", "all-zero", "nan-bin", "floor-given", "short-floor-given"])
+    def test_core_is_threshold_pdp(self, case):
+        # the in-place core on a copy of the power gives threshold_pdp's
+        # profile bit for bit, and zeroes what np.where(power >= level) drops
+        rng = np.random.default_rng(3)
+        power = rng.exponential(1e-9, size=300)
+        power[20] = 1e-6
+        fields = {"pulse_bins": 2.5}
+        if case == "all-zero":
+            power[:] = 0.0
+        elif case == "nan-bin":
+            power[40] = math.nan
+        elif case == "floor-given":  # 20 dB under the tail median: not re-estimated
+            fields["noise_floor_dbm"] = estimate_noise_floor(make_pdp(power)) - 20.0
+        elif case == "short-floor-given":  # too short for an estimate, not needed
+            power, fields["noise_floor_dbm"] = power[:50], -95.0
+        pdp = make_pdp(power, **fields)
+        out = threshold_pdp(pdp)
+        core_power = power.copy()
+        floor, threshold, total = threshold_in_place(core_power, 2.5, fields.get("noise_floor_dbm"))
+        assert np.array_equal(core_power, out.power_mw)
+        # repr: bit for bit, and a NaN threshold equals itself
+        assert repr((floor, threshold, total)) == repr(
+            (out.noise_floor_dbm, out.threshold_dbm, out.total_power_dbm)
+        )
+        assert np.array_equal(out.power_mw, np.where(power >= 10.0 ** (threshold / 10.0), power, 0.0))
+        assert np.array_equal(pdp.power_mw, power, equal_nan=True)  # the input is left alone
+        if case == "all-zero":
+            assert floor == -math.inf and total is None
+        elif case == "nan-bin":  # a NaN peak leaves no bin standing
+            assert out.power_mw[40] == 0.0 and total is None
+        elif case.endswith("floor-given"):
+            assert floor == fields["noise_floor_dbm"]
+            assert threshold == max(out.peak_power_dbm - 20.0, floor + 5.0)
+            assert total is not None
+        else:
+            assert total is not None and out.power_mw[20] == 1e-6
 
     def test_total_power_calibrated_to_path_power(self):
         # end-to-end: a unit path through the correlator integrates back to

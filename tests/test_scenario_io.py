@@ -544,8 +544,9 @@ class TestCli:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
-        "rx_az, used", [("720", 0.0), ("-90", 270.0), ("1e300", 1e300 % 360.0)],
-        ids=["two-turns", "negative", "huge"],
+        "rx_az, used",
+        [("720", 0.0), ("-90", 270.0), ("1e300", 1e300 % 360.0), ("-1e-20", 0.0)],
+        ids=["two-turns", "negative", "huge", "tiny-negative"],
     )
     def test_simulate_reports_the_pointing_used(self, tmp_path, capsys, rx_az, used):
         # the summary line and pdp.csv give the wrapped azimuth the horn

@@ -18,6 +18,7 @@ from corrsounder.channel import (
     fspl,
     synthesize_channel,
 )
+from corrsounder import sweep as sweep_module
 from corrsounder.cli import main as cli_main, shipped_scenario_path
 from corrsounder.correlator import (
     correlate_fast,
@@ -28,6 +29,7 @@ from corrsounder.correlator import (
     write_cir_csv,
 )
 from corrsounder.pdp import (
+    PowerDelayProfile,
     average_pdps,
     pdp_from_iq,
     system_pulse_energy_bins,
@@ -366,6 +368,61 @@ class TestStreamedPdps:
         assert seen == [(azimuth, s) for azimuth, _ in spokes for s in range(5)]
         assert held - base_held <= 1e6
         assert peak - base_peak <= 1e6
+
+
+def silent_location() -> tuple[ScenarioConfig, MultipathChannel]:
+    """A location with no path and no noise: every capture is all zeros."""
+    iso = AntennaPattern.isotropic()
+    sc = ScenarioConfig(
+        name="silent", tx_pattern=iso, rx_pattern=iso, noise_psd_dbm_hz=-math.inf,
+        rx_locations=(RxLocation("R", (10.0, 0.0, 4.0)),),
+    )
+    return sc, MultipathChannel(paths=(), carrier_hz=73.5e9)
+
+
+class TestSweepWithoutSink:
+    """Without a pdp_sink a sweep keeps only each acquisition's total: the
+    same spokes, bit for bit, and no PDP built."""
+
+    @pytest.mark.parametrize(
+        "preset_name, rx_index, step_deg, sweeps, averages",
+        [("desk", 5, 90.0, 2, 2), ("full", 5, 360.0, 1, 1), ("desk", None, 90.0, 2, 2)],
+        ids=["desk-averaged", "full-template-branch", "desk-silent"],
+    )
+    def test_same_spokes_and_no_pdp_built(
+        self, monkeypatch, preset_name, rx_index, step_deg, sweeps, averages
+    ):
+        preset = get_preset(preset_name)
+        if rx_index is None:
+            (sc, channel), rx_index = silent_location(), 0
+        else:
+            sc = load_scenario(shipped_scenario_path("corner_route"))
+            channel = check_location(sc, rx_index, preset)
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(kwargs["metadata"])
+            return PowerDelayProfile(*args, **kwargs)
+
+        monkeypatch.setattr(sweep_module, "PowerDelayProfile", counted)
+        options = dict(step_deg=step_deg, sweeps=sweeps, seed=11, preset=preset,
+                       averages=averages, channel=channel)
+        bare = run_sweep(sc, rx_index, **options)
+        assert built == []
+        pdps = []
+        kept = run_sweep(sc, rx_index, pdp_sink=pdps.append, **options)
+        assert [pdp.metadata for pdp in pdps] == built
+        assert len(built) == len(kept) * sweeps
+        assert repr(bare) == repr(kept)  # repr round-trips every float exactly
+        # each spoke's best total, summed here from its PDPs' surviving bins
+        pulse_bins = system_pulse_energy_bins(preset)
+        for ai, (_, best) in enumerate(bare):
+            totals = [
+                10.0 * math.log10(float(pdp.power_mw.sum()) / pulse_bins)
+                for pdp in pdps[ai * sweeps : (ai + 1) * sweeps]
+                if pdp.power_mw.any()
+            ]
+            assert repr(best) == repr(max(totals) if totals else None)
 
 
 class TestFoldedNoise:
