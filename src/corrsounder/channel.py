@@ -60,6 +60,8 @@ def fspl(d: float, f: float) -> float:
     ratio = 4.0 * math.pi * d * f / SPEED_OF_LIGHT
     if not 0.0 < ratio < math.inf:
         raise ConfigError(f"fspl of d={d}, f={f} is out of float range")
+    if ratio < 1.0:  # d is within a wavelength / (4 pi) of the source
+        raise ConfigError(f"fspl of d={d}, f={f} would be negative: 4 pi d f / c = {ratio:g} < 1")
     return 20.0 * math.log10(ratio)
 
 
@@ -158,8 +160,11 @@ def pattern_gain(p: AntennaPattern, az: float, el: float) -> float:
     """Directive gain (dBi) toward the given azimuth/elevation."""
     daz = _wrap_delta_deg(az - p.pointing_az_deg)
     del_ = el - p.pointing_el_deg
-    rolloff = 12.0 * ((daz / p.hpbw_az_deg) ** 2 + (del_ / p.hpbw_el_deg) ** 2)
-    return p.boresight_gain_dbi - min(rolloff, p.floor_db)
+    # an offset of more than 1e150 HPBW, whose square would overflow, lies
+    # in the floor whatever its size
+    x = min(abs(daz / p.hpbw_az_deg), 1e150)
+    y = min(abs(del_ / p.hpbw_el_deg), 1e150)
+    return p.boresight_gain_dbi - min(12.0 * (x**2 + y**2), p.floor_db)
 
 
 # ---------------------------------------------------------------------------
@@ -465,11 +470,12 @@ def path_coefficients(terms: list[tuple], rx: AntennaPattern) -> list[complex]:
     ]
 
 
-def superpose(terms: list[tuple], coefficients: list[complex], n: int) -> np.ndarray:
-    """Sum of the weighted path copies, added in path order from zeros."""
-    out = np.zeros(n, dtype=np.complex128)
-    for (_, shifted, _, _), coeff in zip(terms, coefficients):
-        out += coeff * shifted
+def superpose(copies: list[np.ndarray], coefficients: list[complex], shape) -> np.ndarray:
+    """Sum of the weighted path copies (or of any linear transform of
+    them), added in path order from zeros."""
+    out = np.zeros(shape, dtype=np.complex128)
+    for copy, coeff in zip(copies, coefficients):
+        out += coeff * copy
     return out
 
 
@@ -480,9 +486,10 @@ def noise_sigma(noise_psd_dbm_hz: float, fs: float) -> float:
 
 
 def add_noise(out: np.ndarray, sigma: float, gen: np.random.Generator) -> None:
-    """Add white complex noise in place: real parts drawn first, then
-    imaginary parts."""
-    out += sigma * (gen.standard_normal(out.size) + 1j * gen.standard_normal(out.size))
+    """Add white complex noise of per-component ``sigma`` in place, over
+    ``out``'s whole shape: all real parts drawn first, then all imaginary
+    parts."""
+    out += sigma * (gen.standard_normal(out.shape) + 1j * gen.standard_normal(out.shape))
 
 
 def apply_channel(
@@ -502,7 +509,7 @@ def apply_channel(
     rejected.
     """
     terms = path_terms(w, ch, tx)
-    out = superpose(terms, path_coefficients(terms, rx), len(w))
+    out = superpose([t[1] for t in terms], path_coefficients(terms, rx), len(w))
     if noise_psd_dbm_hz is not None:  # default_rng passes a Generator through
         add_noise(out, noise_sigma(noise_psd_dbm_hz, w.sample_rate), np.random.default_rng(rng))
     return replace(w, samples=out)

@@ -126,9 +126,11 @@ def _cmd_simulate(args) -> int:
         pdp = threshold_pdp(pdp_from_iq(cir, system_pulse_energy_bins(preset), **metadata))
     else:
         capture = Capture(sc, args.rx_index, preset, channel)
-        record, trace = capture.acquire(rx_pattern, rng)
-        received, cir = replace(capture.wave, samples=record), make_cir(trace, preset.config)
+        branches, trace = capture.acquire(rx_pattern, rng)
+        cir = make_cir(trace, preset.config)
         pdp = capture.threshold(trace.real**2 + trace.imag**2, metadata)[1]
+        if args.dump_waveform:  # the received period, rebuilt from its branch spectra
+            received = replace(capture.wave, samples=capture.kernel.inverse(branches))
     total = "none" if pdp.total_power_dbm is None else f"{pdp.total_power_dbm:.2f}"
     print(
         f"RX beam at {rx_az:.1f} deg: peak {pdp.peak_power_dbm:.2f} dBm, "

@@ -476,29 +476,61 @@ def _template_plan(cfg: CorrelatorConfig, fs: float, pn: ChipSequence):
     return spectra.T[:, None, :].copy(), slice(None)
 
 
-def fast_kernel(cfg: CorrelatorConfig, fs: float, pn: ChipSequence):
+@dataclass(frozen=True, eq=False)
+class FastKernel:
+    """The per-capture core of :func:`correlate_fast`, split at its branch
+    spectra (see :func:`_polyphase_plan`).
+
+    ``forward`` maps one (folded) period of P1 = M g samples to its (M, g)
+    branch spectra: the unnormalised M-point FFT of each of the g polyphase
+    branches x_a[b] = x[a + g b], so white noise of per-component sigma in
+    time has white branch spectra of per-component sigma * sqrt(M).
+    ``mix`` maps branch spectra to the compressed trace,
+    ``code_length * COMPRESSED_SAMPLES_PER_CHIP`` complex samples: the
+    per-bin product with the plan, R inverse FFTs and the gather.
+    ``compress`` is ``mix`` after ``forward``, and ``inverse`` rebuilds the
+    period from its branch spectra.  ``forward`` and ``mix`` are linear, so
+    a capture may sum weighted branch spectra before one ``mix``.
+    """
+
+    spectra: np.ndarray  # the plan, (M, g, R); shared through the cache
+    gather: np.ndarray | slice
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(M, g): bins per branch and branch count."""
+        return self.spectra.shape[:2]
+
+    @property
+    def period(self) -> int:
+        """The code period P1 in samples."""
+        return self.spectra.shape[0] * self.spectra.shape[1]
+
+    def forward(self, period: np.ndarray) -> np.ndarray:
+        return np.fft.fft(period.reshape(self.shape), axis=0)
+
+    def inverse(self, branches: np.ndarray) -> np.ndarray:
+        return np.fft.ifft(branches, axis=0).ravel()
+
+    def mix(self, branches: np.ndarray) -> np.ndarray:
+        mixed = np.matmul(branches[:, None, :], self.spectra)[:, 0]  # (M, R)
+        return np.fft.ifft(mixed, axis=0, out=mixed).ravel()[self.gather]
+
+    def compress(self, period: np.ndarray) -> np.ndarray:
+        return self.mix(self.forward(period))
+
+
+def fast_kernel(cfg: CorrelatorConfig, fs: float, pn: ChipSequence) -> FastKernel:
     """Set-up of :func:`correlate_fast` for one (config, rate, code).
 
-    Checks the code length and the sampling geometry, fetches the cached
-    plan (the exact polyphase kernel, or the template branch in the same
-    layout when the slow code has no grid-exact period) and returns
-    ``(p, compress)``: the code period P1 in samples and the per-capture
-    core, which maps one (folded) period of input to the compressed trace,
-    ``code_length * COMPRESSED_SAMPLES_PER_CHIP`` complex samples.
+    Checks the code length and the sampling geometry and fetches the cached
+    plan: the exact polyphase kernel, or the template branch in the same
+    layout when the slow code has no grid-exact period.
     """
     if len(pn) != cfg.code_length:
         raise ConfigError(f"code length mismatch: {len(pn)} vs config {cfg.code_length}")
     _validate_geometry(fs, cfg)
-    p = cfg.code_length * _integer(fs / cfg.tx_chip_rate, "samples per tx chip")
-    spectra, gather = _polyphase_plan(cfg, fs, pn) or _template_plan(cfg, fs, pn)
-    m, g = spectra.shape[:2]
-
-    def compress(period: np.ndarray) -> np.ndarray:
-        branches = np.fft.fft(period.reshape(m, g), axis=0)  # (M, g)
-        mixed = np.matmul(branches[:, None, :], spectra)[:, 0]  # (M, R)
-        return np.fft.ifft(mixed, axis=0, out=mixed).ravel()[gather]
-
-    return p, compress
+    return FastKernel(*(_polyphase_plan(cfg, fs, pn) or _template_plan(cfg, fs, pn)))
 
 
 def correlate_fast(
@@ -509,11 +541,12 @@ def correlate_fast(
     Needs only one code period of input (more periods are folded before
     processing).  When the slow code is grid-periodic the polyphase kernel
     (``_polyphase_plan``) reproduces the literal mixer exactly, so the two
-    paths agree to numerical precision for the periodic signal part; a
-    ``sweep.Capture`` draws its noise on the one period, not streamed.
+    paths agree to numerical precision for the periodic signal part.  Noise
+    is whatever the record holds; a ``sweep.Capture`` does not call this but
+    draws its noise directly as the kernel's branch spectra.
     """
-    p, compress = fast_kernel(cfg, rx_wave.sample_rate, pn)
-    return make_cir(compress(_fold(rx_wave.samples, p)), cfg)
+    kernel = fast_kernel(cfg, rx_wave.sample_rate, pn)
+    return make_cir(kernel.compress(_fold(rx_wave.samples, kernel.period)), cfg)
 
 
 def write_cir_csv(cir: DilatedCir, path, cfg: CorrelatorConfig | None = None) -> None:

@@ -24,7 +24,8 @@ from .correlator import (
     CSV_BLOCK_ROWS,
     DilatedCir,
     SounderPreset,
-    correlate_fast,
+    fast_kernel,
+    slide_factor,
 )
 from .errors import AnalysisError, ConfigError
 
@@ -215,16 +216,18 @@ def threshold_pdp(pdp: PowerDelayProfile) -> PowerDelayProfile:
 def system_pulse_energy_bins(preset: SounderPreset) -> float:
     """Energy footprint (in bins) of a preset's single-path pulse.
 
-    Runs the noiseless identity channel through the correlator and the
-    thresholding rule, then divides the surviving power sum by the peak.
+    Runs the noiseless one-period probe through the capture kernel and
+    :func:`threshold_pdp`, then divides the surviving power sum by the peak.
     Passing the result as ``pulse_bins`` to :func:`pdp_from_iq` makes a
     thresholded single-path total integrate back to the path's peak power.
     """
-    wave = preset.transmit_waveform(periods=1)
-    cir = correlate_fast(wave, preset.config, preset.chip_sequence())
-    out = threshold_pdp(pdp_from_iq(cir, pulse_bins=1.0))
-    peak = 10.0 ** (out.peak_power_dbm / 10.0)
-    return float(out.power_mw.sum() / peak)
+    cfg = preset.config
+    trace = fast_kernel(cfg, preset.sample_rate, preset.chip_sequence()).compress(
+        preset.transmit_waveform().samples
+    )
+    axis = delay_axis(trace.size, cfg.compressed_sample_rate, slide_factor(cfg))
+    power = threshold_pdp(PowerDelayProfile(trace.real**2 + trace.imag**2, axis)).power_mw
+    return float(power.sum() / power.max())
 
 
 @functools.lru_cache(maxsize=17)  # the 16 blocks of full's axis and desk's one
@@ -235,31 +238,36 @@ def _zeroed_rows(block: bytes) -> tuple[str, np.ndarray]:
 
 
 def write_pdp_csv(pdp: PowerDelayProfile, path) -> None:
-    """CSV export: '#'-prefixed metadata rows, then excess_delay_ns,power_dBm."""
+    """CSV export: '#'-prefixed metadata rows, then excess_delay_ns,power_dBm.
+    Each block of at most ``CSV_BLOCK_ROWS`` rows is built as one buffer and
+    written with one call, the metadata rows with the first, so a desk PDP
+    is one write and the buffer never holds more than a block."""
 
     def fmt(value) -> str:
         return "" if value is None else f"{value:.10g}"
 
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# noise_floor_dbm={fmt(pdp.noise_floor_dbm)}\n")
-        fh.write(f"# threshold_dbm={fmt(pdp.threshold_dbm)}\n")
-        fh.write(f"# total_power_dbm={fmt(pdp.total_power_dbm)}\n")
-        for key in ("angle", "location", "sweep"):
-            if key in pdp.metadata:
-                fh.write(f"# {key}={pdp.metadata[key]}\n")
-        fh.write("excess_delay_ns,power_dBm\n")
-        # blocks of at most CSV_BLOCK_ROWS rows, one write each.  Every PDP
-        # on an axis shares its blocks' all-zeroed text; a file splices in
-        # only the bins _dbm's test keeps (a NaN bin prints 'nan')
-        delays = pdp.excess_delay_s
+    pieces = [
+        f"# noise_floor_dbm={fmt(pdp.noise_floor_dbm)}\n",
+        f"# threshold_dbm={fmt(pdp.threshold_dbm)}\n",
+        f"# total_power_dbm={fmt(pdp.total_power_dbm)}\n",
+    ]
+    for key in ("angle", "location", "sweep"):
+        if key in pdp.metadata:
+            pieces.append(f"# {key}={pdp.metadata[key]}\n")
+    pieces.append("excess_delay_ns,power_dBm\n")
+    delays = pdp.excess_delay_s
+    with open(path, "wb") as fh:
+        # every PDP on an axis shares its blocks' all-zeroed text; a file
+        # splices in only the bins _dbm's test keeps (a NaN bin prints 'nan')
         for start in range(0, len(delays), CSV_BLOCK_ROWS):
             block = slice(start, start + CSV_BLOCK_ROWS)
             text, ends = _zeroed_rows(delays[block].tobytes())
             power = pdp.power_mw[block]
             kept = np.flatnonzero(~(power <= 0.0))
-            pieces, done = [], 0
+            done = 0
             for end, p in zip(ends[kept].tolist(), power[kept].tolist()):
                 pieces += text[done : end - len("-inf\n")], f"{10.0 * math.log10(p):.10g}\n"
                 done = end
             pieces.append(text[done:])
-            fh.write("".join(pieces))
+            fh.write("".join(pieces).encode())
+            pieces = []

@@ -90,6 +90,21 @@ def _number(value, where: str) -> float:
     return number
 
 
+def _db(value, where: str) -> float:
+    """A level, gain or loss in dB: within +-1000 dB, as a ``LinkBudget``
+    term must be, which no physical term reaches and which keeps every
+    10 ** (dB / 10) of the pipeline finite."""
+    number = _number(value, where)
+    _require(abs(number) <= 1000.0, f"{where}: {number:g} dB is beyond +-1000 dB")
+    return number
+
+
+def _elevation(value, where: str) -> float:
+    number = _number(value, where)
+    _require(-90.0 <= number <= 90.0, f"{where}: elevation {number:g} is outside [-90, 90] degrees")
+    return number
+
+
 def _text(value, where: str) -> str:
     # the pure-Python loader accepts an escaped lone surrogate, which no
     # file name, log line or CSV can hold
@@ -131,17 +146,17 @@ def _pattern(node: dict | None, default: AntennaPattern, where: str) -> AntennaP
         return default
     _check_keys(node, {"gain_dbi", "hpbw_az_deg", "hpbw_el_deg", "floor_db"}, where)
     return AntennaPattern(
-        boresight_gain_dbi=_number(node.get("gain_dbi", default.boresight_gain_dbi), f"{where}.gain_dbi"),
+        boresight_gain_dbi=_db(node.get("gain_dbi", default.boresight_gain_dbi), f"{where}.gain_dbi"),
         hpbw_az_deg=_number(node.get("hpbw_az_deg", default.hpbw_az_deg), f"{where}.hpbw_az_deg"),
         hpbw_el_deg=_number(node.get("hpbw_el_deg", default.hpbw_el_deg), f"{where}.hpbw_el_deg"),
-        floor_db=_number(node.get("floor_db", default.floor_db), f"{where}.floor_db"),
+        floor_db=_db(node.get("floor_db", default.floor_db), f"{where}.floor_db"),
     )
 
 
 def _pointing(node, where: str) -> tuple[float, float]:
     _require(isinstance(node, dict), f"{where}: expected {{az: ..., el: ...}}")
     _check_keys(node, {"az", "el"}, where)
-    return (_number(node.get("az", 0.0), f"{where}.az"), _number(node.get("el", 0.0), f"{where}.el"))
+    return (_number(node.get("az", 0.0), f"{where}.az"), _elevation(node.get("el", 0.0), f"{where}.el"))
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -206,21 +221,21 @@ def load_scenario(path) -> ScenarioConfig:
         where = f"environment.reflectors[{n}]"
         _check_keys(node, {"start_m", "end_m", "loss_db"}, where)
         reflectors.append(
-            Reflector(*_segment(node, where), loss_db=_number(node.get("loss_db", 6.0), f"{where}.loss_db"))
+            Reflector(*_segment(node, where), loss_db=_db(node.get("loss_db", 6.0), f"{where}.loss_db"))
         )
 
     return ScenarioConfig(
         name=name,
         tx_position_m=tx_position,
-        tx_power_dbm=_number(tx.get("power_dbm", 14.6), "tx.power_dbm"),
+        tx_power_dbm=_db(tx.get("power_dbm", 14.6), "tx.power_dbm"),
         tx_pattern=_pattern(tx.get("pattern"), AntennaPattern.tx_horn(), "tx.pattern"),
         tx_pointing_deg=tx_pointing,
         rx_pattern=_pattern(rx.get("pattern"), AntennaPattern.rx_horn(), "rx.pattern"),
-        rx_elevation_deg=_number(rx.get("elevation_deg", 0.0), "rx.elevation_deg"),
+        rx_elevation_deg=_elevation(rx.get("elevation_deg", 0.0), "rx.elevation_deg"),
         rx_locations=tuple(rx_locations),
         carrier_hz=carrier,
-        noise_psd_dbm_hz=_number(noise.get("psd_dbm_per_hz", -174.0), "noise.psd_dbm_per_hz"),
-        noise_figure_db=_number(noise.get("noise_figure_db", 5.0), "noise.noise_figure_db"),
+        noise_psd_dbm_hz=_db(noise.get("psd_dbm_per_hz", -174.0), "noise.psd_dbm_per_hz"),
+        noise_figure_db=_db(noise.get("noise_figure_db", 5.0), "noise.noise_figure_db"),
         walls=tuple(walls),
         wedges=tuple(wedges),
         reflectors=tuple(reflectors),

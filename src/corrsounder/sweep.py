@@ -152,11 +152,20 @@ def _folded_psd(preset: SounderPreset, noise_psd_dbm_hz: float) -> float:
 
 
 class Capture:
-    """One receiver location's acquisition chain, set up once: each path's
-    delayed copy of the one-period probe, the noise level (the period stands
-    for the dilated record folded onto it: PSD - 10 log10(slide factor)),
-    the correlator's ``compress``, the pulse footprint and the delay axis
-    (the preset's cached read-only one, which only a kept PDP uses)."""
+    """One receiver location's acquisition chain, set up once, run in the
+    correlator's branch-spectrum domain (:class:`~.correlator.FastKernel`).
+
+    The set-up holds the kernel, each path's terms with its delayed copy of
+    the one-period probe replaced by that copy's branch spectra (one forward
+    transform per path and location), the noise level, the pulse footprint
+    and the delay axis (the preset's cached read-only one, which only a kept
+    PDP uses).  A capture sums the coefficient-weighted path spectra and
+    draws the receiver noise directly as branch spectra, where it enters
+    the fast path: white complex noise whose per-component sigma is the
+    time-domain one times sqrt(M), as ``forward`` of white time-domain noise
+    gives it.  The period stands for the dilated record folded onto it, so
+    the time-domain sigma is that of PSD - 10 log10(slide factor).
+    """
 
     def __init__(
         self, sc: ScenarioConfig, rx_index: int, preset: SounderPreset, channel: MultipathChannel
@@ -164,10 +173,13 @@ class Capture:
         cfg = preset.config
         self.wave = probe_waveform(preset, sc.tx_power_dbm)
         tx_pattern = sc.tx_pattern.pointed(*sc.tx_pointing_for(sc.rx_locations[rx_index]))
-        self.terms = path_terms(self.wave, channel, tx_pattern)
+        self.kernel = fast_kernel(cfg, self.wave.sample_rate, preset.chip_sequence())
+        self.terms = [
+            (p, self.kernel.forward(shifted), tx_gain, phasor)
+            for p, shifted, tx_gain, phasor in path_terms(self.wave, channel, tx_pattern)
+        ]
         psd = _folded_psd(preset, sc.effective_noise_psd_dbm_hz)
-        self.sigma = noise_sigma(psd, self.wave.sample_rate)
-        self.period, self.compress = fast_kernel(cfg, self.wave.sample_rate, preset.chip_sequence())
+        self.sigma = noise_sigma(psd, self.wave.sample_rate) * math.sqrt(self.kernel.shape[0])
         # fetched here, before any capture's arrays exist, so that the
         # pulse calibration does not add to a capture's peak memory
         self.pulse_bins = system_pulse_energy_bins(preset)
@@ -177,11 +189,14 @@ class Capture:
 
     def acquire(self, rx: AntennaPattern, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """One capture with the receive horn pointed as ``rx``: the received
-        one-period record (noise drawn from ``rng``) and its compressed trace,
-        as ``apply_channel`` and ``correlate_fast`` compute them."""
-        record = superpose(self.terms, path_coefficients(self.terms, rx), self.period)
-        add_noise(record, self.sigma, rng)
-        return record, self.compress(record)
+        period's (M, g) branch spectra (noise drawn from ``rng``) and its
+        compressed trace.  ``self.kernel.inverse`` of the spectra is the
+        received one-period record, which ``correlate_fast`` maps to the
+        same trace."""
+        spectra = [term[1] for term in self.terms]
+        branches = superpose(spectra, path_coefficients(self.terms, rx), self.kernel.shape)
+        add_noise(branches, self.sigma, rng)
+        return branches, self.kernel.mix(branches)
 
     def threshold(
         self, power: np.ndarray, metadata: dict | None = None

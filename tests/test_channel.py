@@ -55,6 +55,12 @@ class TestFspl:
         with pytest.raises(ConfigError, match="out of float range"):
             fspl(1.0, f)
 
+    @pytest.mark.parametrize("d, f", [(1.0, 1e6), (1e-4, 73.5e9), (20.0, 1e-300)])
+    def test_rejects_a_negative_loss(self, d, f):
+        # 4 pi d f / c < 1 would make the loss a gain
+        with pytest.raises(ConfigError, match="would be negative"):
+            fspl(d, f)
+
     def test_speed_of_light_is_scipy_value(self):
         assert SPEED_OF_LIGHT == C
 
@@ -95,6 +101,14 @@ class TestPatternGain:
         gains = [pattern_gain(p, az, 0.0) for az in np.linspace(0, 180, 361)]
         assert all(b <= a + 1e-12 for a, b in zip(gains, gains[1:]))
         assert gains[-1] == pytest.approx(20.0 - 30.0)
+
+    @pytest.mark.parametrize("hpbw", [1e-300, 5e-324])
+    def test_tiny_hpbw_rolls_off_to_the_floor(self, hpbw):
+        # squares of offsets this many HPBW wide would overflow
+        p = AntennaPattern(20.0, hpbw, hpbw)
+        assert pattern_gain(p, 0.0, 0.0) == 20.0
+        assert pattern_gain(p, 180.0, 0.0) == -10.0
+        assert pattern_gain(p, 0.0, -90.0) == -10.0
 
     def test_hpbw_validation(self):
         with pytest.raises(ConfigError):

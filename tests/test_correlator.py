@@ -300,7 +300,7 @@ class TestTemplatePlan:
     def test_matches_the_tiled_template_product(self, template_config, delay_chips):
         _, cfg, chips, spc = template_config
         fs = cfg.tx_chip_rate * spc
-        p, compress = fast_kernel(cfg, fs, chips)
+        compress = fast_kernel(cfg, fs, chips).compress
         wave = upsample_chips(chips, cfg.tx_chip_rate, spc, 1)
         period = np.roll(wave.samples, delay_chips * spc)
         reference = _tiled_template(cfg, fs, chips, period)
@@ -328,7 +328,8 @@ class TestCompressLinearity:
         # delayed probe period and y white noise: a capture's signal and
         # noise responses add, on both kernel branches
         sounder = get_preset(name)
-        p, compress = fast_kernel(sounder.config, sounder.sample_rate, sounder.chip_sequence())
+        kernel = fast_kernel(sounder.config, sounder.sample_rate, sounder.chip_sequence())
+        p, compress = kernel.period, kernel.compress
         x = np.roll(sounder.transmit_waveform().samples, 10 * sounder.samples_per_chip)
         rng = np.random.default_rng(5)
         y = rng.standard_normal(p) + 1j * rng.standard_normal(p)

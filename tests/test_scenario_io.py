@@ -522,6 +522,32 @@ class TestCli:
         ]) == 2
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "verb, old, new, code",
+        [
+            ("simulate", "rx:\n", "rx:\n  pattern: {gain_dbi: 1e300}\n", 2),
+            ("simulate", "rx:\n", "rx:\n  pattern: {floor_db: -1e300}\n", 2),
+            ("simulate", "power_dbm: 14.6", "power_dbm: 1e300", 2),
+            ("simulate", "environment: {}", "environment: {}\nnoise: {psd_dbm_per_hz: 1e300}", 2),
+            ("simulate", "carrier_hz: 73.5e+9", "carrier_hz: 1e-300", 2),
+            ("campaign", "rx:\n", "rx:\n  elevation_deg: 1e300\n", 2),
+            ("campaign", "rx:\n", "rx:\n  pattern: {hpbw_az_deg: 1e-300}\n", 0),
+        ],
+        ids=["rx-gain", "rx-floor", "tx-power", "noise-psd", "tiny-carrier", "rx-elevation", "tiny-hpbw"],
+    )
+    def test_out_of_range_scenario_number_exit_code(self, mini_path, tmp_path, verb, old, new, code):
+        # dB fields beyond +-1000 dB and elevations outside [-90, 90] used to
+        # overflow, and a tiny carrier gave a negative free-space loss: all
+        # are refused before any output.  A tiny HPBW only narrows the beam
+        text = mini_path.read_text()
+        assert text.count(old) == 1
+        scenario = tmp_path / "bad.yaml"
+        scenario.write_text(text.replace(old, new))
+        out = tmp_path / "o"
+        options = ["--kind", "route", "--step-deg", "90", "--sweeps", "1"] if verb == "campaign" else []
+        assert cli_main([verb, "--scenario", str(scenario), *options, "--out", str(out)]) == code
+        assert out.exists() == (code == 0)
+
     def test_simulate_rx_index_out_of_range_exit_code(self, tmp_path):
         out = tmp_path / "sim"
         assert cli_main([

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -425,41 +426,49 @@ class TestSweepWithoutSink:
             assert repr(best) == repr(max(totals) if totals else None)
 
 
+def noise_only_capture(preset) -> tuple[ScenarioConfig, Capture]:
+    """A silent isotropic location whose captures hold receiver noise only."""
+    iso = AntennaPattern.isotropic()
+    sc = ScenarioConfig(
+        name="silent", tx_pattern=iso, rx_pattern=iso, noise_psd_dbm_hz=-100.0,
+        noise_figure_db=0.0, rx_locations=(RxLocation("R", (10.0, 0.0, 4.0)),),
+    )
+    return sc, Capture(sc, 0, preset, MultipathChannel(paths=(), carrier_hz=73.5e9))
+
+
+def assert_same_mean_power(acquisitions, salt: int) -> None:
+    """The mean correlator output power of two noise-only acquisitions
+    agrees within four standard errors of the difference over 100 draws
+    each; the per-draw spread keeps that bound far below the 3 dB or more a
+    mis-referred noise level would show."""
+    draws = 100
+    stats = []
+    for acquire in acquisitions:
+        powers = [
+            np.mean(np.abs(acquire(np.random.default_rng((k, salt)))) ** 2) for k in range(draws)
+        ]
+        stats.append((np.mean(powers), np.std(powers, ddof=1) / math.sqrt(draws)))
+    (first, se_first), (second, se_second) = stats
+    tolerance = 4.0 * math.hypot(se_first, se_second)
+    assert tolerance < 0.1 * second
+    assert abs(first - second) <= tolerance
+
+
 class TestFoldedNoise:
     def test_one_period_noise_matches_folded_full_record(self, desk):
         # a capture's noise, drawn on one code period at PSD - 10 log10(slide
         # factor), must give the same mean correlator power as noise drawn on
         # the whole dilated record and folded by correlate_fast
-        silent = MultipathChannel(paths=(), carrier_hz=73.5e9)
-        iso = AntennaPattern.isotropic()
-        sc = ScenarioConfig(
-            name="silent", tx_pattern=iso, rx_pattern=iso, noise_psd_dbm_hz=-100.0,
-            noise_figure_db=0.0, rx_locations=(RxLocation("R", (10.0, 0.0, 4.0)),),
-        )
-        capture = Capture(sc, 0, desk, silent)
-        chips = desk.chip_sequence()
+        sc, capture = noise_only_capture(desk)
+        iso, silent = sc.rx_pattern, MultipathChannel(paths=(), carrier_hz=73.5e9)
         full_record = probe_waveform(desk, 0.0, "literal")
-        acquisitions = (
+        assert_same_mean_power((
             lambda rng: capture.acquire(iso, rng)[1],
             lambda rng: correlate_fast(
-                apply_channel(full_record, silent, iso, iso, -100.0, rng), desk.config, chips
+                apply_channel(full_record, silent, iso, iso, -100.0, rng),
+                desk.config, desk.chip_sequence(),
             ).cir,
-        )
-        draws = 100
-        stats = []
-        for acquire in acquisitions:
-            powers = [
-                np.mean(np.abs(acquire(np.random.default_rng((k, 1)))) ** 2)
-                for k in range(draws)
-            ]
-            stats.append((np.mean(powers), np.std(powers, ddof=1) / math.sqrt(draws)))
-        (one, se_one), (full, se_full) = stats
-        # four standard errors of the difference of the two means; the
-        # per-draw spread (about 7% of the mean) keeps that near 4% (0.2 dB),
-        # far below the 3 dB or more a mis-referred fold count would show
-        tolerance = 4.0 * math.hypot(se_one, se_full)
-        assert tolerance < 0.1 * full
-        assert abs(one - full) <= tolerance
+        ), salt=1)
 
 
 def folded_psd(sc: ScenarioConfig, preset) -> float:
@@ -467,12 +476,31 @@ def folded_psd(sc: ScenarioConfig, preset) -> float:
     return sc.effective_noise_psd_dbm_hz - 10.0 * math.log10(round(slide_factor(preset.config)))
 
 
+class TestBranchDomainNoise:
+    @pytest.mark.parametrize("preset_name", ["desk", "full"])
+    def test_matches_the_time_domain_draw(self, preset_name):
+        # a capture draws its noise as the kernel's (M, g) branch spectra;
+        # the mean correlator power must match that of the same PSD drawn on
+        # the one-period record (apply_channel at the folded PSD) and run
+        # through correlate_fast
+        preset = get_preset(preset_name)
+        sc, capture = noise_only_capture(preset)
+        iso, silent = sc.rx_pattern, MultipathChannel(paths=(), carrier_hz=73.5e9)
+        assert_same_mean_power((
+            lambda rng: capture.acquire(iso, rng)[1],
+            lambda rng: correlate_fast(
+                apply_channel(capture.wave, silent, iso, iso, folded_psd(sc, preset), rng),
+                preset.config, preset.chip_sequence(),
+            ).cir,
+        ), salt=2)
+
+
 class TestSweepMatchesPublicStages:
     """A sweep runs each location's captures through its Capture object, set
-    up once; every thresholded PDP must still be what the public stages
-    (apply_channel at the folded PSD, correlate_fast, pdp_from_iq,
-    average_pdps, threshold_pdp) give capture by capture, with the sweep's
-    per-capture seeds."""
+    up once, in the kernel's branch-spectrum domain.  Every thresholded PDP
+    must still be what the public stages (correlate_fast, pdp_from_iq,
+    average_pdps, threshold_pdp) give on each capture's own record, rebuilt
+    from its branch spectra; without noise, that record is apply_channel's."""
 
     @pytest.mark.parametrize(
         "preset_name, rx_index, step_deg, sweeps, averages",
@@ -492,8 +520,7 @@ class TestSweepMatchesPublicStages:
         channel = synthesize_channel(sc, rx_index)
         assert len(channel) == 2
         rx_loc = sc.rx_locations[rx_index]
-        wave = probe_waveform(preset, sc.tx_power_dbm)
-        tx = sc.tx_pattern.pointed(*sc.tx_pointing_for(rx_loc))
+        capture = Capture(sc, rx_index, preset, channel)
         chips = preset.chip_sequence()
         pulse_bins = system_pulse_energy_bins(preset)
         assert len(spokes) == round(360.0 / step_deg)
@@ -502,14 +529,14 @@ class TestSweepMatchesPublicStages:
             rx = sc.rx_pattern.pointed(azimuth, sc.rx_elevation_deg)
             for s in range(sweeps):
                 got = pdps[ai * sweeps + s]
-                captures = [
-                    pdp_from_iq(correlate_fast(apply_channel(
-                        wave, channel, tx, rx, folded_psd(sc, preset),
-                        np.random.default_rng((seed, rx_index, ai, s, a)),
-                    ), preset.config, chips), pulse_bins,
-                        angle=azimuth, location=rx_loc.ident, sweep=s)
-                    for a in range(averages)
-                ]
+                captures = []
+                for a in range(averages):
+                    branches = capture.acquire(rx, np.random.default_rng((seed, rx_index, ai, s, a)))[0]
+                    received = replace(capture.wave, samples=capture.kernel.inverse(branches))
+                    captures.append(pdp_from_iq(
+                        correlate_fast(received, preset.config, chips), pulse_bins,
+                        angle=azimuth, location=rx_loc.ident, sweep=s,
+                    ))
                 want = threshold_pdp(captures[0] if averages == 1 else average_pdps(captures))
                 peak = want.power_mw.max()
                 assert peak > 0.0
@@ -522,25 +549,34 @@ class TestSweepMatchesPublicStages:
 
     @pytest.mark.parametrize("preset_name", ["desk", "full"])
     def test_single_capture(self, preset_name):
-        # simulate's fast path: one capture seeded with default_rng(seed) is
-        # apply_channel's record bit for bit, and correlate_fast's trace
+        # simulate's fast path: one capture's trace is correlate_fast's on
+        # the record rebuilt from its branch spectra; without noise that
+        # record is apply_channel's and the trace is correlate_fast's on it
         preset = get_preset(preset_name)
+        chips = preset.chip_sequence()
         sc = load_scenario(shipped_scenario_path("corner_route"))
         channel = check_location(sc, 3, preset)
         rx = sc.rx_pattern.pointed(200.0, sc.rx_elevation_deg)
-        record, trace = Capture(sc, 3, preset, channel).acquire(rx, np.random.default_rng(7))
+        capture = Capture(sc, 3, preset, channel)
+        branches, trace = capture.acquire(rx, np.random.default_rng(7))
+        received = replace(capture.wave, samples=capture.kernel.inverse(branches))
+        want = correlate_fast(received, preset.config, chips).cir
+        assert np.abs(trace - want).max() <= 1e-13 * np.abs(want).max()
+
+        quiet = Capture(replace(sc, noise_psd_dbm_hz=-math.inf), 3, preset, channel)
+        branches, trace = quiet.acquire(rx, np.random.default_rng(7))
         received = apply_channel(
             probe_waveform(preset, sc.tx_power_dbm), channel,
             sc.tx_pattern.pointed(*sc.tx_pointing_for(sc.rx_locations[3])), rx,
-            folded_psd(sc, preset), 7,
         )
-        assert np.array_equal(record, received.samples)
-        want = correlate_fast(received, preset.config, preset.chip_sequence()).cir
+        record = quiet.kernel.inverse(branches)
+        assert np.abs(record - received.samples).max() <= 1e-13 * np.abs(received.samples).max()
+        want = correlate_fast(received, preset.config, chips).cir
         assert np.abs(trace - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_simulate_writes_the_public_stages_bytes(self, desk, tmp_path):
         # simulate's one capture, seeded with default_rng(seed), gives the
-        # CIR and PDP files of the stage-by-stage chain at the folded PSD
+        # CIR and PDP files of the stage-by-stage chain on its rebuilt record
         out = tmp_path / "sim"
         assert cli_main([
             "simulate", "--scenario", "corner_route", "--rx-index", "5", "--seed", "1", "--out", str(out),
@@ -549,11 +585,11 @@ class TestSweepMatchesPublicStages:
         channel = synthesize_channel(sc, 5)
         rx_loc = sc.rx_locations[5]
         azimuth = max(channel.paths, key=lambda p: p.gain).aoa_az_deg
-        received = apply_channel(
-            probe_waveform(desk, sc.tx_power_dbm), channel,
-            sc.tx_pattern.pointed(*sc.tx_pointing_for(rx_loc)),
-            sc.rx_pattern.pointed(azimuth, sc.rx_elevation_deg), folded_psd(sc, desk), 1,
-        )
+        capture = Capture(sc, 5, desk, channel)
+        branches = capture.acquire(
+            sc.rx_pattern.pointed(azimuth, sc.rx_elevation_deg), np.random.default_rng(1)
+        )[0]
+        received = replace(capture.wave, samples=capture.kernel.inverse(branches))
         cir = correlate_fast(received, desk.config, desk.chip_sequence())
         pdp = threshold_pdp(pdp_from_iq(
             cir, system_pulse_energy_bins(desk), location=rx_loc.ident, angle=azimuth
