@@ -123,6 +123,8 @@ class AntennaPattern:
         for name, hpbw in (("hpbw_az_deg", self.hpbw_az_deg), ("hpbw_el_deg", self.hpbw_el_deg)):
             if not 0.0 < hpbw < 180.0:
                 raise ConfigError(f"{name} must lie in (0, 180), got {hpbw}")
+        if not self.floor_db >= 0.0:  # a floor above boresight is no horn
+            raise ConfigError(f"floor_db must be non-negative, got {self.floor_db}")
 
     def pointed(self, az: float, el: float) -> "AntennaPattern":
         """This pattern with its boresight at azimuth ``az`` and elevation

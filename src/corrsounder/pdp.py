@@ -233,8 +233,9 @@ def system_pulse_energy_bins(preset: SounderPreset) -> float:
 @functools.lru_cache(maxsize=17)  # the 16 blocks of full's axis and desk's one
 def _zeroed_rows(block: bytes) -> tuple[str, np.ndarray]:
     # one delay-axis block as joined 'delay,-inf' rows, and each row's end
-    rows = [f"{v:.10g},-inf\n" for v in (np.frombuffer(block) * 1e9).tolist()]
-    return "".join(rows), np.cumsum([len(r) for r in rows])
+    delays_ns = (np.frombuffer(block) * 1e9).tolist()
+    text = "%.10g,-inf\n" * len(delays_ns) % tuple(delays_ns)
+    return text, np.flatnonzero(np.frombuffer(text.encode(), np.uint8) == 10) + 1
 
 
 def write_pdp_csv(pdp: PowerDelayProfile, path) -> None:

@@ -114,6 +114,12 @@ class TestPatternGain:
         with pytest.raises(ConfigError):
             AntennaPattern(10.0, 0.0, 7.0)
 
+    @pytest.mark.parametrize("floor", [-1e-9, -1000.0, math.nan])
+    def test_floor_above_boresight_rejected(self, floor):
+        # a negative floor put sidelobes above boresight: +inf dBm summaries
+        with pytest.raises(ConfigError, match="floor_db"):
+            AntennaPattern(1000.0, 7.0, 7.0, floor_db=floor)
+
 
 class TestKnifeEdge:
     def test_against_exact_fresnel_integral(self):

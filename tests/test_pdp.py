@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corrsounder.correlator import (
@@ -197,11 +197,12 @@ class TestThreshold:
         gap=st.floats(min_value=0.1, max_value=60.0),
     )
     @settings(max_examples=200, deadline=None)
+    @example(peak=-2.431279846547955e-16, gap=5.0)  # (peak - 5) + 5 rounds above peak
     def test_rule_is_max_of_both_criteria(self, peak, gap):
         floor = peak - gap
         out = threshold_pdp(self.make(peak, floor))
         assert out.threshold_dbm == pytest.approx(max(peak - 20.0, floor + 5.0), abs=1e-9)
-        if gap >= 5.0:  # peak clears the SNR criterion and survives
+        if floor + 5.0 <= peak:  # peak clears the SNR criterion and survives
             assert out.power_mw.max() > 0
         else:  # too close to the floor: the whole profile is signal-absent
             assert out.total_power_dbm is None

@@ -1,11 +1,15 @@
 import contextlib
 import copy
 import csv
+import gc
 import hashlib
 import io
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -527,13 +531,16 @@ class TestCli:
         [
             ("simulate", "rx:\n", "rx:\n  pattern: {gain_dbi: 1e300}\n", 2),
             ("simulate", "rx:\n", "rx:\n  pattern: {floor_db: -1e300}\n", 2),
+            ("simulate", "rx:\n", "rx:\n  pattern: {gain_dbi: 1000, floor_db: -1000}\n", 2),
+            ("campaign", "tx:\n", "tx:\n  pattern: {floor_db: -1}\n", 2),
             ("simulate", "power_dbm: 14.6", "power_dbm: 1e300", 2),
             ("simulate", "environment: {}", "environment: {}\nnoise: {psd_dbm_per_hz: 1e300}", 2),
             ("simulate", "carrier_hz: 73.5e+9", "carrier_hz: 1e-300", 2),
             ("campaign", "rx:\n", "rx:\n  elevation_deg: 1e300\n", 2),
             ("campaign", "rx:\n", "rx:\n  pattern: {hpbw_az_deg: 1e-300}\n", 0),
         ],
-        ids=["rx-gain", "rx-floor", "tx-power", "noise-psd", "tiny-carrier", "rx-elevation", "tiny-hpbw"],
+        ids=["rx-gain", "rx-floor", "rx-floor-negative", "tx-floor-negative", "tx-power", "noise-psd",
+             "tiny-carrier", "rx-elevation", "tiny-hpbw"],
     )
     def test_out_of_range_scenario_number_exit_code(self, mini_path, tmp_path, verb, old, new, code):
         # dB fields beyond +-1000 dB and elevations outside [-90, 90] used to
@@ -761,6 +768,82 @@ class TestCli:
         args = ["campaign", "--scenario", str(scenario), "--kind", "route", "--sweeps", "1", "--out", str(out)]
         assert cli_main([*args, "--preset", "full"]) == 3
         assert not out.exists()
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestProcessEntryPoint:
+    """``python -m corrsounder.cli`` runs ``cli.run``: main(), then a heap
+    freeze that only spares the interpreter's shutdown collections."""
+
+    @staticmethod
+    def _run_module(args, cwd):
+        return subprocess.run(
+            [sys.executable, "-m", "corrsounder.cli", *args], cwd=cwd, capture_output=True,
+            text=True, timeout=120, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["campaign", "--scenario", "corner_clusters", "--kind", "cluster", "--save-pdps",
+             "--sweeps", "1", "--seed", "3"],
+            ["simulate", "--scenario", "corner_route", "--rx-index", "5", "--seed", "1", "--dump-waveform"],
+        ],
+        ids=["cluster-pdps", "simulate-dump"],
+    )
+    def test_module_writes_what_main_writes(self, tmp_path, monkeypatch, capsys, args):
+        process, in_process = tmp_path / "process", tmp_path / "main"
+        process.mkdir()
+        in_process.mkdir()
+        proc = self._run_module([*args, "--out", "out"], process)
+        assert proc.returncode == 0, proc.stderr
+        monkeypatch.chdir(in_process)
+        assert cli_main([*args, "--out", "out"]) == 0
+        assert proc.stdout == capsys.readouterr().out
+        written = _tree(process / "out")
+        assert len(written) >= 3
+        assert written == _tree(in_process / "out")
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (["campaign", "--scenario", "no_such_scenario", "--kind", "route", "--out", "o"], 2),
+            (["simulate", "--scenario", "far.yaml", "--preset", "full", "--out", "o"], 3),
+            (["emit", "--bundle", ".", "--kind", "route"], 4),
+        ],
+        ids=["config", "simulation", "analysis"],
+    )
+    def test_module_exit_status(self, tmp_path, args, code):
+        # the far reflector puts a path into the full preset's noise-floor window
+        (tmp_path / "far.yaml").write_text(MINI_SCENARIO.replace("label: far-ish", "label: los").replace(
+            "environment: {}",
+            "environment:\n  reflectors: [{start_m: [570.0, -100.0], end_m: [570.0, 100.0]}]",
+        ))
+        proc = self._run_module(args, tmp_path)
+        assert proc.returncode == code
+        assert proc.stderr.startswith("ERROR "), proc.stderr
+        assert not (tmp_path / "o").exists()
+
+    def test_main_does_not_freeze(self, capsys):
+        frozen = gc.get_freeze_count()
+        assert cli_main(["info", "--preset", "desk"]) == 0
+        assert gc.get_freeze_count() == frozen
+
+    def test_console_script_goes_through_run(self):
+        pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+        assert 'corrsounder = "corrsounder.cli:run"' in pyproject
+
+    def test_import_leaves_importlib_resources_unloaded(self):
+        # without site (-S), nothing else imports it before the package does
+        code = "import sys\nimport corrsounder.cli\nprint('importlib.resources' in sys.modules)\n"
+        out = subprocess.run(
+            [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        ).stdout
+        assert out == "False\n"
 
 
 #: Numeric flag text: zero and small values, negative and huge ones of any
