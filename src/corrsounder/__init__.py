@@ -9,6 +9,17 @@ omnidirectional synthesis, close-in path-loss fits, local-area statistics).
 
 __version__ = "0.1.0"
 
+import os
+
+# Set before the first numpy import below.  numpy's bundled OpenBLAS starts
+# one worker thread per CPU as it loads, and each worker busy-waits for about
+# 120 ms before it sleeps: about half of a desk command's CPU time.  Nothing
+# here gives that pool work (the matrix products are 2-vector dots, integer
+# products and per-bin (1 x g)(g x R) products, far below OpenBLAS's
+# threading thresholds), and setting the thread count after numpy has loaded
+# does not stop the spin.  setdefault keeps a caller's own value.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .channel import (
     AntennaPattern,
     MultipathChannel,

@@ -55,7 +55,8 @@ from .sweep import (
     probe_waveform,
 )
 
-log = logging.getLogger(__name__)
+# named, not __name__: under ``python -m`` this module runs as __main__
+log = logging.getLogger("corrsounder.cli")
 
 
 def shipped_scenario_path(name: str) -> Path:

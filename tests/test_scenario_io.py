@@ -774,15 +774,26 @@ def _tree(root: Path) -> dict[str, bytes]:
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def _blas_env(threads: str | None) -> dict[str, str]:
+    """This process's environment with ``OPENBLAS_NUM_THREADS`` set to
+    ``threads``, or removed for None (importing the package here sets it)."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    return env
+
+
 class TestProcessEntryPoint:
     """``python -m corrsounder.cli`` runs ``cli.run``: main(), then a heap
-    freeze that only spares the interpreter's shutdown collections."""
+    freeze that only spares the interpreter's shutdown collections.  The
+    package asks numpy's OpenBLAS for one thread unless the caller chose."""
 
     @staticmethod
-    def _run_module(args, cwd):
+    def _run_module(args, cwd, blas_threads=None):
         return subprocess.run(
             [sys.executable, "-m", "corrsounder.cli", *args], cwd=cwd, capture_output=True,
-            text=True, timeout=120, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            text=True, timeout=120, env=_blas_env(blas_threads),
         )
 
     @pytest.mark.parametrize(
@@ -824,8 +835,41 @@ class TestProcessEntryPoint:
         ))
         proc = self._run_module(args, tmp_path)
         assert proc.returncode == code
-        assert proc.stderr.startswith("ERROR "), proc.stderr
+        assert proc.stderr.startswith("ERROR corrsounder.cli: "), proc.stderr
         assert not (tmp_path / "o").exists()
+
+    @staticmethod
+    def _threads_after_import(threads):
+        if not os.path.isdir("/proc/self/task") or os.cpu_count() == 1:
+            pytest.skip("needs /proc/self/task and more than one CPU")
+        code = (
+            "import os\nimport corrsounder\n"
+            "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        )
+        return subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120,
+            env=_blas_env(threads),
+        ).stdout
+
+    def test_import_starts_no_blas_worker(self):
+        # numpy's OpenBLAS would start a worker per CPU that busy-waits
+        assert self._threads_after_import(None) == "1 1\n"
+
+    def test_import_keeps_the_callers_blas_threads(self):
+        assert self._threads_after_import("2") == "2 2\n"
+
+    def test_outputs_do_not_depend_on_blas_threads(self, tmp_path):
+        # full's g = 1 plan runs FastKernel.mix's matmul once per bin
+        args = ["simulate", "--scenario", "corner_route", "--rx-index", "5", "--preset", "full",
+                "--seed", "1", "--out", "out"]
+        runs = {}
+        for threads in ("1", "2"):
+            (tmp_path / threads).mkdir()
+            proc = self._run_module(args, tmp_path / threads, threads)
+            assert proc.returncode == 0, proc.stderr
+            runs[threads] = proc.stdout, _tree(tmp_path / threads / "out")
+        assert len(runs["1"][1]) >= 2
+        assert runs["1"] == runs["2"]
 
     def test_main_does_not_freeze(self, capsys):
         frozen = gc.get_freeze_count()
