@@ -54,7 +54,6 @@ from .errors import AnalysisError, ConfigError, SimulationError, SounderError
 from .pdp import (
     PowerDelayProfile,
     average_pdps,
-    estimate_noise_floor,
     pdp_from_iq,
     threshold_pdp,
 )
@@ -63,7 +62,6 @@ from .pn import (
     LfsrSpec,
     generate_leapforward,
     generate_msequence,
-    lfsr_step,
     periodic_autocorrelation,
 )
 from .scenario_io import (

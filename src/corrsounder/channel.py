@@ -73,6 +73,9 @@ def knife_edge_loss_db(nu: float) -> float:
     """
     if nu <= -0.78:
         return 0.0
+    # beyond 1e150 the square would overflow; the cap still leaves a loss of
+    # about 3,000 dB, far past anything a budget detects
+    nu = min(nu, 1e150)
     return 6.9 + 20.0 * math.log10(math.sqrt((nu - 0.1) ** 2 + 1.0) + nu - 0.1)
 
 
@@ -278,17 +281,18 @@ def _segments_cross(p1, p2, q1, q2) -> bool:
     return False
 
 
-def _blocked(p, q, walls, shrink: float = 1e-6) -> bool:
+def _blocked(p, q, walls) -> bool:
     """True when any wall cuts the open ray p->q.
 
-    Both ray endpoints are pulled inward so rays that merely start or end on
-    a wall (wedge corners, reflection points) do not count as blocked.
+    Both ray endpoints are pulled inward by a millionth of the ray so rays
+    that merely start or end on a wall (wedge corners, reflection points) do
+    not count as blocked.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     d = q - p
-    p2 = p + d * shrink
-    q2 = q - d * shrink
+    p2 = p + d * 1e-6
+    q2 = q - d * 1e-6
     return any(_segments_cross(p2, q2, w.start_m, w.end_m) for w in walls)
 
 

@@ -3,7 +3,7 @@
 Verbs: ``pn`` (generate/inspect codes), ``simulate`` (single link),
 ``campaign`` (route/cluster/single; ``--kind single`` sweeps one receiver),
 ``fit`` (CI fit on an external CSV), ``budget`` (link-budget calculator),
-``emit`` (plot-ready CSVs from a campaign bundle), ``info`` (preset timing).
+``emit`` (path-loss plot CSV from a campaign bundle), ``info`` (preset timing).
 
 Exit codes: 0 success, 2 configuration error, 3 simulation error,
 4 analysis error.
@@ -214,9 +214,7 @@ def _cmd_budget(args) -> int:
 
 
 def _cmd_emit(args) -> int:
-    written = emit_plot_data(args.bundle, args.kind, args.out)
-    for path in written:
-        print(path)
+    print(emit_plot_data(args.bundle, args.out))
     return 0
 
 
@@ -292,9 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snr", type=float, default=5.0)
     p.set_defaults(func=_cmd_budget)
 
-    p = sub.add_parser("emit", help="plot-ready CSVs from a campaign bundle")
+    p = sub.add_parser("emit", help="path-loss plot CSV from a route campaign bundle")
     p.add_argument("--bundle", required=True, help="campaign output directory")
-    p.add_argument("--kind", choices=["pathloss", "route"], required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_emit)
 

@@ -549,18 +549,17 @@ def correlate_fast(
     return make_cir(kernel.compress(_fold(rx_wave.samples, kernel.period)), cfg)
 
 
-def write_cir_csv(cir: DilatedCir, path, cfg: CorrelatorConfig | None = None) -> None:
+def write_cir_csv(cir: DilatedCir, path, cfg: CorrelatorConfig) -> None:
     """CSV export: '#'-prefixed metadata rows, then compressed_time_s,i,q."""
     with open(path, "w", newline="") as fh:
         fh.write(f"# slide_factor={cir.slide_factor:.10g}\n")
         fh.write(f"# compressed_bandwidth_hz={cir.compressed_bandwidth:.10g}\n")
         fh.write(f"# dilated_period_s={cir.dilated_period:.10g}\n")
         fh.write(f"# sample_rate_hz={cir.sample_rate:.10g}\n")
-        if cfg is not None:
-            fh.write(f"# tx_chip_rate_hz={cfg.tx_chip_rate:.10g}\n")
-            fh.write(f"# rx_chip_rate_hz={cfg.rx_chip_rate:.10g}\n")
-            fh.write(f"# code_length={cfg.code_length}\n")
-            fh.write(f"# lpf_cutoff_hz={cfg.lpf_cutoff:.10g}\n")
+        fh.write(f"# tx_chip_rate_hz={cfg.tx_chip_rate:.10g}\n")
+        fh.write(f"# rx_chip_rate_hz={cfg.rx_chip_rate:.10g}\n")
+        fh.write(f"# code_length={cfg.code_length}\n")
+        fh.write(f"# lpf_cutoff_hz={cfg.lpf_cutoff:.10g}\n")
         fh.write("compressed_time_s,i,q\n")
         # one '%' format per block of interleaved rows ('%.10g' % v prints
         # as f"{v:.10g}" does)

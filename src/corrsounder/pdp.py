@@ -33,7 +33,6 @@ __all__ = [
     "PowerDelayProfile",
     "pdp_from_iq",
     "average_pdps",
-    "estimate_noise_floor",
     "noise_window_start",
     "threshold_in_place",
     "threshold_pdp",
@@ -100,14 +99,6 @@ class PowerDelayProfile:
     def peak_power_dbm(self) -> float:
         return _dbm(float(self.power_mw.max(initial=0.0)))
 
-    @property
-    def delay_step_s(self) -> float:
-        return float(self.excess_delay_s[1] - self.excess_delay_s[0]) if len(self) > 1 else 0.0
-
-    @property
-    def has_signal(self) -> bool:
-        return self.total_power_dbm is not None
-
 
 def pdp_from_iq(
     cir: DilatedCir, pulse_bins: float | None = None, **metadata
@@ -144,7 +135,7 @@ def average_pdps(pdps: list[PowerDelayProfile]) -> PowerDelayProfile:
 
 def noise_window_start(bins: int) -> int:
     """First bin of the trailing tenth of a ``bins``-long delay axis, the
-    window :func:`estimate_noise_floor` reads."""
+    window the noise floor is read from."""
     return bins - bins // 10
 
 
@@ -161,19 +152,15 @@ def _median(values: np.ndarray) -> float:
 
 
 def _floor_dbm(power: np.ndarray) -> float:
-    if power.size < 100:
-        raise AnalysisError(f"need >= 100 samples to estimate a noise floor, got {power.size}")
-    return _dbm(_median(power[noise_window_start(power.size) :]))
-
-
-def estimate_noise_floor(pdp: PowerDelayProfile) -> float:
     """Median power over the trailing 10% of the delay axis, in dBm.
 
     The tail of the (periodic) trace carries no constructed paths, so its
     median is a multipath-robust floor estimate.  Returns -inf for a
     zero-noise profile.
     """
-    return _floor_dbm(pdp.power_mw)
+    if power.size < 100:
+        raise AnalysisError(f"need >= 100 samples to estimate a noise floor, got {power.size}")
+    return _dbm(_median(power[noise_window_start(power.size) :]))
 
 
 def threshold_in_place(
@@ -182,10 +169,11 @@ def threshold_in_place(
     """Apply the max(peak - 20 dB, floor + 5 dB) threshold rule to ``power``
     in place: bins below the threshold (and NaN bins) are zeroed.
 
-    The floor is :func:`estimate_noise_floor`'s unless ``floor_dbm`` is
-    given.  Returns (floor, threshold, total) in dBm, where the total sums
-    the surviving bins divided by ``pulse_bins`` (see module doc) and is
-    None when no bin survives, a signal-absent acquisition.
+    The floor is the median power over the trailing tenth of the delay
+    axis unless ``floor_dbm`` is given.  Returns (floor, threshold, total)
+    in dBm, where the total sums the surviving bins divided by
+    ``pulse_bins`` (see module doc) and is None when no bin survives, a
+    signal-absent acquisition.
     """
     if floor_dbm is None:
         floor_dbm = _floor_dbm(power)

@@ -25,7 +25,6 @@ __all__ = [
     "ChipSequence",
     "PRESETS",
     "preset",
-    "lfsr_step",
     "generate_msequence",
     "generate_leapforward",
     "periodic_autocorrelation",
@@ -96,30 +95,12 @@ class ChipSequence:
     def __len__(self) -> int:
         return int(self.chips.size)
 
-    @property
-    def length(self) -> int:
-        return len(self)
-
 
 def _shift(state: tuple[int, ...], taps: frozenset[int]) -> tuple[int, ...]:
     feedback = 0
     for tap in taps:
         feedback ^= state[tap - 1]
     return (feedback,) + state[:-1]
-
-
-def lfsr_step(state, spec: LfsrSpec) -> tuple[int, tuple[int, ...]]:
-    """One Fibonacci-LFSR shift of any bit sequence.
-
-    Returns the output bit (read from stage ``order``) and the new state as
-    a tuple.  ``state[i]`` holds stage ``i + 1``.
-    """
-    state = tuple(int(b) for b in state)
-    if len(state) != spec.order:
-        raise ConfigError(f"state must have length {spec.order}")
-    if not any(state):
-        raise ConfigError("all-zero LFSR state is degenerate")
-    return state[-1], _shift(state, spec.feedback_taps)
 
 
 def _transition_matrix(spec: LfsrSpec) -> np.ndarray:

@@ -244,14 +244,15 @@ def load_scenario(path) -> ScenarioConfig:
 
 def read_fit_points(path) -> list[tuple[float, float]]:
     """(distance, path loss) pairs from a CSV with ``distance_m`` and
-    ``path_loss_db`` columns; every cell must be a finite number."""
+    ``path_loss_db`` columns; every cell must be a finite number, and a path
+    loss within +-1000 dB."""
     try:
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
             return [
                 tuple(
-                    _number(row[key], f"{path}: line {reader.line_num}: {key}")
-                    for key in ("distance_m", "path_loss_db")
+                    check(row[key], f"{path}: line {reader.line_num}: {key}")
+                    for key, check in (("distance_m", _number), ("path_loss_db", _db))
                 )
                 for row in reader
             ]
@@ -563,16 +564,8 @@ def _write_bundle(bundle: ResultBundle) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _plot_rows(doc: dict, kind: str) -> tuple[str, list[list[str]]]:
-    """File name and rows, header first, of one plot kind of a bundle.json."""
-    if kind == "route":
-        return "route_power.csv", [["position_m", "omni_dBm"]] + [
-            [f"{loc['route_position_m']:.6f}", f"{loc['omni_dbm']:.6f}"]
-            for loc in sorted(doc["locations"], key=lambda l: l["route_position_m"])
-            if loc["omni_dbm"] is not None
-        ]
-    if kind != "pathloss":
-        raise ConfigError(f"unknown plot kind {kind!r}; choose pathloss or route")
+def _pathloss_rows(doc: dict) -> list[list[str]]:
+    """Rows, header first, of the path-loss plot of a bundle.json."""
     if not doc["fits"]:
         raise AnalysisError("bundle holds no CI fits; pathloss plot data unavailable")
     rows = [["series", "distance_m", "log10_distance", "path_loss_dB"]]
@@ -593,24 +586,23 @@ def _plot_rows(doc: dict, kind: str) -> tuple[str, list[list[str]]]:
             d = 10 ** (math.log10(lo) + (math.log10(hi) - math.log10(lo)) * n / 49)
             pl = anchor + 10.0 * fit["ple"] * math.log10(d / fit["d0_m"])
             rows.append([f"fit-{label}", f"{d:.6f}", f"{math.log10(d):.6f}", f"{pl:.6f}"])
-    return "pathloss.csv", rows
+    return rows
 
 
-def emit_plot_data(bundle_dir, kind: str, out_dir=None) -> list[Path]:
-    """Write plot-ready CSVs from a campaign bundle directory.
-
-    pathloss: per-location points plus each CI fit sampled at 50 log-spaced
-    distances.  route: omni power versus position along the route.  The
-    polar plot data is the bundle's ``angular/<id>.csv``.  A bundle.json
-    that is not JSON or lacks a field the plot needs is a ConfigError, and
-    then nothing is written.
+def emit_plot_data(bundle_dir, out_dir=None) -> Path:
+    """Write ``pathloss.csv`` from a campaign bundle directory and return its
+    path: per-location points plus each CI fit sampled at 50 log-spaced
+    distances.  Omni power against route position is the bundle's
+    ``route.csv`` and the polar plot data its ``angular/<id>.csv``.  A
+    bundle.json that is not JSON or lacks a field the plot needs is a
+    ConfigError, and then nothing is written.
     """
     bundle_dir = Path(bundle_dir)
     doc_path = bundle_dir / "bundle.json"
     if not doc_path.exists():
         raise AnalysisError(f"{bundle_dir}: no bundle.json; run a campaign first")
     try:
-        name, rows = _plot_rows(json.loads(doc_path.read_text()), kind)
+        rows = _pathloss_rows(json.loads(doc_path.read_text()))
     except KeyError as exc:
         raise ConfigError(f"{doc_path}: missing key {exc}") from None
     # a decode error is a ValueError; a field of the wrong type is one of these
@@ -618,6 +610,7 @@ def emit_plot_data(bundle_dir, kind: str, out_dir=None) -> list[Path]:
         raise ConfigError(f"{doc_path}: malformed bundle: {exc}") from None
     out = Path(out_dir) if out_dir is not None else bundle_dir / "plots"
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / name, "w", newline="") as fh:
+    path = out / "pathloss.csv"
+    with open(path, "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
-    return [out / name]
+    return path

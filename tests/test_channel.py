@@ -140,6 +140,10 @@ class TestKnifeEdge:
     def test_clear_path_no_loss(self):
         assert knife_edge_loss_db(-1.0) == 0.0
 
+    def test_far_edge_loss_is_finite(self):
+        # the parameter is capped at 1e150, where its square would overflow
+        assert knife_edge_loss_db(1e200) == knife_edge_loss_db(1e150) == pytest.approx(3012.92, abs=0.01)
+
     def test_fresnel_parameter_geometry(self):
         # edge 1 m off a 200 m line at its midpoint
         lam = C / 73.5e9

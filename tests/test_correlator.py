@@ -241,7 +241,6 @@ class TestFastEquivalent:
                 acquisitions.append(pdp_from_iq(cir))
             out = threshold_pdp(average_pdps(acquisitions))
             assert out.total_power_dbm is None
-            assert not out.has_signal
 
 
 #: Configs without a grid-exact slow-code period, which take the template

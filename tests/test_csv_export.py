@@ -45,17 +45,16 @@ def reference_pdp_csv(pdp, path) -> None:
             fh.write(f"{delay * 1e9:.10g},{_dbm(power):.10g}\n")
 
 
-def reference_cir_csv(cir, path, cfg=None) -> None:
+def reference_cir_csv(cir, path, cfg) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(f"# slide_factor={cir.slide_factor:.10g}\n")
         fh.write(f"# compressed_bandwidth_hz={cir.compressed_bandwidth:.10g}\n")
         fh.write(f"# dilated_period_s={cir.dilated_period:.10g}\n")
         fh.write(f"# sample_rate_hz={cir.sample_rate:.10g}\n")
-        if cfg is not None:
-            fh.write(f"# tx_chip_rate_hz={cfg.tx_chip_rate:.10g}\n")
-            fh.write(f"# rx_chip_rate_hz={cfg.rx_chip_rate:.10g}\n")
-            fh.write(f"# code_length={cfg.code_length}\n")
-            fh.write(f"# lpf_cutoff_hz={cfg.lpf_cutoff:.10g}\n")
+        fh.write(f"# tx_chip_rate_hz={cfg.tx_chip_rate:.10g}\n")
+        fh.write(f"# rx_chip_rate_hz={cfg.rx_chip_rate:.10g}\n")
+        fh.write(f"# code_length={cfg.code_length}\n")
+        fh.write(f"# lpf_cutoff_hz={cfg.lpf_cutoff:.10g}\n")
         fh.write("compressed_time_s,i,q\n")
         for t, i, q in zip(cir.compressed_time, cir.i_channel, cir.q_channel):
             fh.write(f"{t:.10g},{i:.10g},{q:.10g}\n")
@@ -111,7 +110,7 @@ class TestPdpCsvOracle:
     def test_full_preset_pdp_spans_several_blocks(self, full_cir, tmp_path):
         pdp = threshold_pdp(pdp_from_iq(full_cir, location="R04", angle=2.5))
         assert len(pdp) == 32_752 > 15 * CSV_BLOCK_ROWS
-        assert pdp.has_signal
+        assert pdp.total_power_dbm is not None
         assert_same_pdp_bytes(pdp, tmp_path)
 
     @pytest.mark.parametrize("rows", [1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 3 * CSV_BLOCK_ROWS])
@@ -155,16 +154,14 @@ class TestPdpCsvOracle:
 
 
 class TestCirCsvOracle:
-    @pytest.mark.parametrize("with_cfg", [True, False], ids=["cfg", "no-cfg"])
-    def test_desk(self, with_cfg, tmp_path):
+    def test_desk(self, tmp_path):
         desk = desk_preset()
         cir = correlate_fast(desk.transmit_waveform(periods=1), desk.config, desk.chip_sequence())
-        assert_same_cir_bytes(cir, desk.config if with_cfg else None, tmp_path)
+        assert_same_cir_bytes(cir, desk.config, tmp_path)
 
-    @pytest.mark.parametrize("with_cfg", [True, False], ids=["cfg", "no-cfg"])
-    def test_full_preset(self, with_cfg, full, full_cir, tmp_path):
+    def test_full_preset(self, full, full_cir, tmp_path):
         assert len(full_cir) == 32_752
-        assert_same_cir_bytes(full_cir, full.config if with_cfg else None, tmp_path)
+        assert_same_cir_bytes(full_cir, full.config, tmp_path)
 
     def test_special_values(self, tmp_path):
         i = np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -1.5e-300, 1.0])
@@ -176,4 +173,4 @@ class TestCirCsvOracle:
             dilated_period=i.size / 125e3,
             sample_rate=125e3,
         )
-        assert_same_cir_bytes(cir, None, tmp_path)
+        assert_same_cir_bytes(cir, desk_preset().config, tmp_path)

@@ -18,7 +18,6 @@ from corrsounder.pdp import (
     system_pulse_energy_bins,
     PowerDelayProfile,
     average_pdps,
-    estimate_noise_floor,
     pdp_from_iq,
     threshold_in_place,
     threshold_pdp,
@@ -80,7 +79,8 @@ class TestPdpFromIq:
         cir = make_cir(np.zeros(16), np.zeros(16), sample_rate=125e3, gamma=128.0)
         pdp = pdp_from_iq(cir)
         compressed_step = 1 / 125e3
-        assert pdp.delay_step_s == pytest.approx(compressed_step / 128.0, rel=1e-12)
+        step = pdp.excess_delay_s[1] - pdp.excess_delay_s[0]
+        assert step == pytest.approx(compressed_step / 128.0, rel=1e-12)
 
     def test_metadata_carried(self):
         pdp = pdp_from_iq(make_cir([1.0], [0.0]), angle=45.0, location="R01")
@@ -122,6 +122,11 @@ class TestAveraging:
         assert abs(avg_mean_db - single_mean_db) <= 0.2
 
 
+def floor_of(pdp) -> float:
+    """The noise floor threshold_pdp estimates for a profile without one."""
+    return threshold_pdp(pdp).noise_floor_dbm
+
+
 class TestNoiseFloor:
     def test_synthetic_floor_recovered(self):
         rng = np.random.default_rng(7)
@@ -130,22 +135,22 @@ class TestNoiseFloor:
         pdp = average_pdps([make_pdp(row) for row in noise])
         pdp = replace(pdp, power_mw=pdp.power_mw.copy())
         pdp.power_mw[5] = 1e-6  # single early peak
-        assert estimate_noise_floor(pdp) == pytest.approx(-100.0, abs=0.5)
+        assert floor_of(pdp) == pytest.approx(-100.0, abs=0.5)
 
     def test_doubling_noise_adds_3db(self):
         rng = np.random.default_rng(8)
         base = rng.exponential(1e-9, size=5000)
-        a = estimate_noise_floor(make_pdp(base))
-        b = estimate_noise_floor(make_pdp(2 * base))
+        a = floor_of(make_pdp(base))
+        b = floor_of(make_pdp(2 * base))
         assert b - a == pytest.approx(3.01, abs=0.01)
 
     def test_zero_noise_gives_minus_inf(self):
         pdp = make_pdp(np.zeros(200))
-        assert estimate_noise_floor(pdp) == -math.inf
+        assert floor_of(pdp) == -math.inf
 
     def test_needs_enough_samples(self):
         with pytest.raises(AnalysisError):
-            estimate_noise_floor(make_pdp(np.ones(50)))
+            floor_of(make_pdp(np.ones(50)))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -162,7 +167,7 @@ class TestNoiseFloor:
         if special is not None:
             power[rng.integers(size, size=2)] = special
         tail = power[-(size // 10) :]
-        floor = estimate_noise_floor(make_pdp(power))
+        floor = floor_of(make_pdp(power))
         median = float(np.median(tail))
         expected = -math.inf if median <= 0.0 else 10.0 * math.log10(median)
         assert np.float64(floor).tobytes() == np.float64(expected).tobytes() or (
@@ -189,7 +194,6 @@ class TestThreshold:
         pdp = make_pdp(power, noise_floor_dbm=-60.0)  # floor + 5 above all bins
         out = threshold_pdp(pdp)
         assert out.total_power_dbm is None
-        assert not out.has_signal
         assert not out.power_mw.any()
 
     @given(
@@ -209,8 +213,8 @@ class TestThreshold:
 
     @pytest.mark.parametrize("short", [50, 99])
     def test_short_profile_needs_a_floor(self, short):
-        # threshold_pdp and the in-place core keep estimate_noise_floor's
-        # refusal below 100 bins
+        # threshold_pdp and the in-place core refuse to estimate a floor
+        # below 100 bins
         pdp = make_pdp(np.ones(short))
         for threshold in (threshold_pdp, lambda p: threshold_in_place(p.power_mw.copy(), 1.0)):
             with pytest.raises(AnalysisError, match=">= 100 samples"):
@@ -229,7 +233,7 @@ class TestThreshold:
         elif case == "nan-bin":
             power[40] = math.nan
         elif case == "floor-given":  # 20 dB under the tail median: not re-estimated
-            fields["noise_floor_dbm"] = estimate_noise_floor(make_pdp(power)) - 20.0
+            fields["noise_floor_dbm"] = floor_of(make_pdp(power)) - 20.0
         elif case == "short-floor-given":  # too short for an estimate, not needed
             power, fields["noise_floor_dbm"] = power[:50], -95.0
         pdp = make_pdp(power, **fields)

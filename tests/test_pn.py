@@ -8,7 +8,6 @@ from corrsounder.pn import (
     LfsrSpec,
     generate_leapforward,
     generate_msequence,
-    lfsr_step,
     periodic_autocorrelation,
     preset,
 )
@@ -18,48 +17,38 @@ def bits_of(seq):
     return ((seq.chips + 1) // 2).tolist()
 
 
+def register_states(seq):
+    """The register state before each chip: chips k .. k + order - 1 of the
+    cyclic output, stage 1 first (stage ``order`` holds the next output)."""
+    order = seq.spec.order
+    bits = bits_of(seq)
+    return [tuple(reversed((bits + bits)[k : k + order])) for k in range(len(bits))]
+
+
 class TestLfsrStep:
+    """The Fibonacci shift, seen through the sequence it generates."""
+
     def test_hand_simulated_order3(self):
-        # taps {3,2}, seed 111: output stream 1110010, derived by hand
-        spec = preset(3)
-        state = np.array(spec.seed, dtype=np.uint8)
-        out = []
-        for _ in range(7):
-            bit, state = lfsr_step(state, spec)
-            out.append(bit)
-        assert out == [1, 1, 1, 0, 0, 1, 0]
-        assert tuple(state) == spec.seed  # full period walked
+        # taps {3,2}, seed 111: states and output stream 1110010, derived by hand
+        seq = generate_msequence(preset(3))
+        assert bits_of(seq) == [1, 1, 1, 0, 0, 1, 0]
+        assert register_states(seq) == [
+            (1, 1, 1), (0, 1, 1), (0, 0, 1), (1, 0, 0), (0, 1, 0), (1, 0, 1), (1, 1, 0),
+        ]
 
     def test_all_ones_seed_emits_order_ones_first(self):
-        spec = preset(11)
-        state = np.array(spec.seed, dtype=np.uint8)
-        out = []
-        for _ in range(11):
-            bit, state = lfsr_step(state, spec)
-            out.append(bit)
-        assert out == [1] * 11
+        assert bits_of(generate_msequence(preset(11)))[:11] == [1] * 11
 
     @pytest.mark.parametrize("order", [3, 7])
     def test_state_returns_to_seed_after_full_period_only(self, order):
         spec = preset(order)
-        state = np.array(spec.seed, dtype=np.uint8)
-        seen = set()
-        for step in range(spec.period):
-            seen.add(tuple(state))
-            _, state = lfsr_step(state, spec)
-            if step < spec.period - 1:
-                assert tuple(state) != spec.seed
-        assert tuple(state) == spec.seed
-        assert len(seen) == spec.period  # visits every non-zero state
-
-    def test_zero_state_rejected(self):
-        spec = preset(3)
-        with pytest.raises(ConfigError, match="degenerate"):
-            lfsr_step(np.zeros(3, dtype=np.uint8), spec)
+        states = register_states(generate_msequence(spec))
+        assert states[0] == spec.seed
+        assert len(set(states)) == spec.period  # visits every non-zero state once
 
     def test_wrong_length_state_rejected(self):
-        with pytest.raises(ConfigError):
-            lfsr_step(np.ones(4, dtype=np.uint8), preset(3))
+        with pytest.raises(ConfigError, match="seed length"):
+            LfsrSpec(order=3, feedback_taps=frozenset({3, 2}), seed=(1, 1, 1, 1))
 
 
 class TestGenerateMsequence:

@@ -426,7 +426,8 @@ class TestRunCampaign:
 class TestEmitPlotData:
     def test_pathloss_contains_fit_lines(self, mini_campaign):
         _, bundle = mini_campaign
-        (path,) = emit_plot_data(bundle.out_dir, "pathloss")
+        path = emit_plot_data(bundle.out_dir)
+        assert path == bundle.out_dir / "plots" / "pathloss.csv"
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         fit_rows = [row for row in rows if row["series"] == "fit-los"]
@@ -436,22 +437,9 @@ class TestEmitPlotData:
         logd = [float(row["log10_distance"]) for row in fit_rows]
         assert logd == sorted(logd)
 
-    def test_route_ordered_by_position(self, mini_campaign):
-        _, bundle = mini_campaign
-        (path,) = emit_plot_data(bundle.out_dir, "route")
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        positions = [float(row["position_m"]) for row in rows]
-        assert positions == sorted(positions)
-
     def test_missing_bundle_rejected(self, tmp_path):
         with pytest.raises(AnalysisError, match="bundle.json"):
-            emit_plot_data(tmp_path, "route")
-
-    def test_unknown_kind_rejected(self, mini_campaign):
-        _, bundle = mini_campaign
-        with pytest.raises(ConfigError):
-            emit_plot_data(bundle.out_dir, "histogram")
+            emit_plot_data(tmp_path)
 
 
 class TestCli:
@@ -681,10 +669,12 @@ class TestCli:
             ("fit", "distance_m,path_loss_db\n10,abc\n", "line 2: path_loss_db"),
             ("fit", "a,b\n10,100\n", "missing column 'distance_m'"),
             ("fit", "distance_m,path_loss_db\n10,100\nnan,120\n", "line 3: distance_m"),
+            ("fit", "distance_m,path_loss_db\n10,100\n30,1e308\n", "line 3: path_loss_db"),
             ("emit", "{not json", "malformed bundle"),
-            ("emit", '{"fits": {}, "locations": [{"x": 1}]}', "missing key 'route_position_m'"),
+            ("emit", '{"fits": {"los": {}}, "locations": [{"x": 1}]}', "missing key 'path_loss_db'"),
         ],
-        ids=["fit-cell-not-a-number", "fit-header", "fit-cell-nan", "emit-not-json", "emit-missing-key"],
+        ids=["fit-cell-not-a-number", "fit-header", "fit-cell-nan", "fit-path-loss-beyond-bound",
+             "emit-not-json", "emit-missing-key"],
     )
     def test_malformed_fit_or_emit_input_exit_code(self, tmp_path, caplog, verb, content, message):
         if verb == "fit":
@@ -692,7 +682,7 @@ class TestCli:
             args = ["fit", str(path)]
         else:
             path = tmp_path / "bundle.json"
-            args = ["emit", "--bundle", str(tmp_path), "--kind", "route"]
+            args = ["emit", "--bundle", str(tmp_path)]
         path.write_text(content)
         assert cli_main(args) == 2
         assert f"{path}: " in caplog.text
@@ -706,7 +696,7 @@ class TestCli:
         assert cli_main(["fit", str(path), f"--frequency={frequency}"]) == 2
 
     def test_emit_error_exit_code(self, tmp_path):
-        assert cli_main(["emit", "--bundle", str(tmp_path), "--kind", "route"]) == 4
+        assert cli_main(["emit", "--bundle", str(tmp_path)]) == 4
 
     def test_simulate_smoke(self, tmp_path, capsys):
         scenario = tmp_path / "mini.yaml"
@@ -752,6 +742,23 @@ class TestCli:
         assert cli_main([*args, "--preset", "full"]) == 3
         assert not out.exists()
         assert cli_main([*args, "--preset", "desk"]) == 0
+
+    @pytest.mark.parametrize(
+        "wedge, code", [("[5.0, 1e160]", 3), ("[5.0, 1e297]", 2)], ids=["delay-check", "fspl-range"]
+    )
+    def test_far_diffracting_edge_exit_code(self, tmp_path, wedge, code):
+        # the wall blocks A's direct ray, so the far wedge diffracts; squaring
+        # its Fresnel parameter overflowed before the path's delay (1e160 m
+        # away) or free-space loss (2e297 m of path) could be refused
+        scenario = tmp_path / "far.yaml"
+        scenario.write_text(MINI_SCENARIO.replace("label: far-ish", "label: los").replace(
+            "environment: {}",
+            "environment:\n  walls: [{start_m: [10.0, -5.0], end_m: [10.0, 5.0]}]\n"
+            f"  wedges: [{{position_m: {wedge}}}]",
+        ))
+        out = tmp_path / "sim"
+        assert cli_main(["simulate", "--scenario", str(scenario), "--rx-index", "0", "--out", str(out)]) == code
+        assert not out.exists()
 
     def test_campaign_path_in_noise_floor_window_leaves_no_output_dir(self, tmp_path):
         # a reflector 560 m south puts a 3.74 us path into the full preset's
@@ -823,7 +830,7 @@ class TestProcessEntryPoint:
         [
             (["campaign", "--scenario", "no_such_scenario", "--kind", "route", "--out", "o"], 2),
             (["simulate", "--scenario", "far.yaml", "--preset", "full", "--out", "o"], 3),
-            (["emit", "--bundle", ".", "--kind", "route"], 4),
+            (["emit", "--bundle", "."], 4),
         ],
         ids=["config", "simulation", "analysis"],
     )
