@@ -458,8 +458,8 @@ def path_terms(w: SampledWaveform, ch: MultipathChannel, tx: AntennaPattern) -> 
     for p in ch.paths:
         if p.delay_s >= period_s:
             raise SimulationError(
-                f"path delay {p.delay_s * 1e9:.1f} ns aliases beyond one code "
-                f"period ({period_s * 1e9:.1f} ns)"
+                f"path delay {p.delay_s * 1e9:.6g} ns aliases beyond one code "
+                f"period ({period_s * 1e9:.6g} ns)"
             )
         shifted = np.roll(w.samples, int(round(p.delay_s * fs)))
         tx_gain = pattern_gain(tx, p.aod_az_deg, p.aod_el_deg)

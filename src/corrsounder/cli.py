@@ -34,7 +34,7 @@ from .correlator import (
     write_cir_csv,
 )
 from .errors import AnalysisError, ConfigError, SounderError
-from .pdp import pdp_from_iq, system_pulse_energy_bins, threshold_pdp, write_pdp_csv
+from .pdp import write_pdp_csv
 from .pn import generate_msequence, periodic_autocorrelation, preset as pn_preset
 from .scenario_io import (
     CampaignSpec,
@@ -52,7 +52,6 @@ from .sweep import (
     eirp,
     max_measurable_path_loss,
     noise_floor_dbm,
-    probe_waveform,
 )
 
 # named, not __name__: under ``python -m`` this module runs as __main__
@@ -119,19 +118,20 @@ def _cmd_simulate(args) -> int:
     rng = np.random.default_rng(args.seed)
     rx_az = rx_pattern.pointing_az_deg  # the pointing used: wrapped to [0, 360)
     metadata = {"location": rx_loc.ident, "angle": rx_az}
+    capture = Capture(sc, args.rx_index, preset, channel)
     if args.literal:  # the oracle: the whole dilated record, noise at the full PSD
-        tx_pattern = sc.tx_pattern.pointed(*sc.tx_pointing_for(rx_loc))
-        wave = probe_waveform(preset, sc.tx_power_dbm, "literal")
-        received = apply_channel(wave, channel, tx_pattern, rx_pattern, sc.effective_noise_psd_dbm_hz, rng)
+        gamma = round(slide_factor(preset.config))
+        probe = replace(capture.wave, samples=np.tile(capture.wave.samples, gamma))
+        received = apply_channel(
+            probe, channel, capture.tx_pattern, rx_pattern, sc.effective_noise_psd_dbm_hz, rng
+        )
         cir = correlate_literal(received, preset.config, preset.chip_sequence())
-        pdp = threshold_pdp(pdp_from_iq(cir, system_pulse_energy_bins(preset), **metadata))
     else:
-        capture = Capture(sc, args.rx_index, preset, channel)
         branches, trace = capture.acquire(rx_pattern, rng)
         cir = make_cir(trace, preset.config)
-        pdp = capture.threshold(trace.real**2 + trace.imag**2, metadata)[1]
         if args.dump_waveform:  # the received period, rebuilt from its branch spectra
             received = replace(capture.wave, samples=capture.kernel.inverse(branches))
+    pdp = capture.threshold(cir.i_channel**2 + cir.q_channel**2, metadata)[1]
     total = "none" if pdp.total_power_dbm is None else f"{pdp.total_power_dbm:.2f}"
     print(
         f"RX beam at {rx_az:.1f} deg: peak {pdp.peak_power_dbm:.2f} dBm, "
@@ -193,18 +193,15 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_budget(args) -> int:
-    if args.table1:
-        budget = LinkBudget.full_preset_budget()
-    else:
-        budget = LinkBudget(
-            tx_power_dbm=args.tx_power,
-            tx_gain_dbi=args.tx_gain,
-            rx_gain_dbi=args.rx_gain,
-            processing_gain_db=processing_gain(args.slide_factor),
-            averaging_gain_db=averaging_gain_db(args.averages),
-            noise_floor_dbm=noise_floor_dbm(args.bandwidth, args.noise_figure),
-            snr_threshold_db=args.snr,
-        )
+    budget = LinkBudget(
+        tx_power_dbm=args.tx_power,
+        tx_gain_dbi=args.tx_gain,
+        rx_gain_dbi=args.rx_gain,
+        processing_gain_db=processing_gain(args.slide_factor),
+        averaging_gain_db=averaging_gain_db(args.averages),
+        noise_floor_dbm=noise_floor_dbm(args.bandwidth, args.noise_figure),
+        snr_threshold_db=args.snr,
+    )
     print(f"EIRP: {eirp(budget.tx_power_dbm, budget.tx_gain_dbi):.2f} dBm")
     print(f"processing gain: {budget.processing_gain_db:.2f} dB")
     print(f"averaging gain: {budget.averaging_gain_db:.2f} dB")
@@ -278,8 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frequency", type=float, default=73.5e9)
     p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("budget", help="link-budget calculator")
-    p.add_argument("--table1", action="store_true", help="use the shipped 500 Mcps budget")
+    p = sub.add_parser("budget", help="link-budget calculator (defaults: the 500 Mcps budget)")
     p.add_argument("--tx-power", type=float, default=14.6)
     p.add_argument("--tx-gain", type=float, default=27.0)
     p.add_argument("--rx-gain", type=float, default=27.0)

@@ -260,10 +260,6 @@ class DilatedCir:
     def compressed_time(self) -> np.ndarray:
         return np.arange(len(self)) / self.sample_rate
 
-    @property
-    def samples_per_chip(self) -> int:
-        return COMPRESSED_SAMPLES_PER_CHIP
-
 
 # ---------------------------------------------------------------------------
 # shared machinery

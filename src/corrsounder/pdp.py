@@ -46,12 +46,12 @@ PEAK_WINDOW_DB = 20.0
 SNR_MARGIN_DB = 5.0
 
 
-def pulse_energy_bins(samples_per_chip: int = COMPRESSED_SAMPLES_PER_CHIP) -> float:
+def pulse_energy_bins() -> float:
     """Energy footprint of the triangular chip correlation pulse, in bins.
 
-    sum_k (1 - |k|/S)^2 over integer k, S = samples per chip-equivalent.
+    sum_k (1 - |k|/S)^2 over integer k, S = ``COMPRESSED_SAMPLES_PER_CHIP``.
     """
-    s = samples_per_chip
+    s = COMPRESSED_SAMPLES_PER_CHIP
     return 1.0 + 2.0 * sum((1.0 - j / s) ** 2 for j in range(1, s))
 
 
@@ -112,7 +112,7 @@ def pdp_from_iq(
     return PowerDelayProfile(
         power_mw=power,
         excess_delay_s=delay_axis(len(cir), cir.sample_rate, cir.slide_factor),
-        pulse_bins=pulse_bins if pulse_bins is not None else pulse_energy_bins(cir.samples_per_chip),
+        pulse_bins=pulse_bins if pulse_bins is not None else pulse_energy_bins(),
         metadata=dict(metadata),
     )
 

@@ -44,7 +44,6 @@ from .pdp import (
     system_pulse_energy_bins,
     threshold_in_place,
 )
-from .waveform import SampledWaveform
 
 __all__ = [
     "CiFit",
@@ -54,7 +53,6 @@ __all__ = [
     "MAX_LOCATION_CAPTURES",
     "check_sweep_options",
     "check_location",
-    "probe_waveform",
     "Capture",
     "run_sweep",
     "omni_power",
@@ -111,17 +109,6 @@ def _angle_grid(step: float, start: float = 0.0) -> list[float]:
     return [(start + k * step) % 360.0 for k in range(round(360.0 / step))]
 
 
-def probe_waveform(
-    preset: SounderPreset, tx_power_dbm: float, method: str = "fast"
-) -> SampledWaveform:
-    """Transmitted probe at ``tx_power_dbm``: one code period for the fast
-    correlator (it folds its input onto one period anyway), the whole dilated
-    record for the literal mixer."""
-    periods = 1 if method == "fast" else round(slide_factor(preset.config))
-    wave = preset.transmit_waveform(periods=periods)
-    return replace(wave, samples=wave.samples * math.sqrt(10.0 ** (tx_power_dbm / 10.0)))
-
-
 def _check_delays(preset: SounderPreset, paths: tuple[PathComponent, ...]) -> None:
     # the window starts before one code period ends, so a path that passes
     # cannot alias either
@@ -132,8 +119,8 @@ def _check_delays(preset: SounderPreset, paths: tuple[PathComponent, ...]) -> No
     for p in paths:
         if p.delay_s + chip_s >= window_s:
             raise SimulationError(
-                f"{p.kind} path at {p.delay_s * 1e9:.1f} ns (plus one chip, {chip_s * 1e9:g} ns) "
-                f"reaches the noise-floor window, which starts at {window_s * 1e9:.1f} ns "
+                f"{p.kind} path at {p.delay_s * 1e9:.6g} ns (plus one chip, {chip_s * 1e9:g} ns) "
+                f"reaches the noise-floor window, which starts at {window_s * 1e9:.6g} ns "
                 f"on the {preset.name} preset"
             )
 
@@ -155,8 +142,9 @@ class Capture:
     """One receiver location's acquisition chain, set up once, run in the
     correlator's branch-spectrum domain (:class:`~.correlator.FastKernel`).
 
-    The set-up holds the kernel, each path's terms with its delayed copy of
-    the one-period probe replaced by that copy's branch spectra (one forward
+    The set-up holds the one-period probe at the scenario's transmit power,
+    the pointed transmit horn, the kernel, each path's terms with its delayed
+    copy of the probe replaced by that copy's branch spectra (one forward
     transform per path and location), the noise level, the pulse footprint
     and the delay axis (the preset's cached read-only one, which only a kept
     PDP uses).  A capture sums the coefficient-weighted path spectra and
@@ -171,12 +159,13 @@ class Capture:
         self, sc: ScenarioConfig, rx_index: int, preset: SounderPreset, channel: MultipathChannel
     ) -> None:
         cfg = preset.config
-        self.wave = probe_waveform(preset, sc.tx_power_dbm)
-        tx_pattern = sc.tx_pattern.pointed(*sc.tx_pointing_for(sc.rx_locations[rx_index]))
+        wave = preset.transmit_waveform()
+        self.wave = replace(wave, samples=wave.samples * math.sqrt(10.0 ** (sc.tx_power_dbm / 10.0)))
+        self.tx_pattern = sc.tx_pattern.pointed(*sc.tx_pointing_for(sc.rx_locations[rx_index]))
         self.kernel = fast_kernel(cfg, self.wave.sample_rate, preset.chip_sequence())
         self.terms = [
             (p, self.kernel.forward(shifted), tx_gain, phasor)
-            for p, shifted, tx_gain, phasor in path_terms(self.wave, channel, tx_pattern)
+            for p, shifted, tx_gain, phasor in path_terms(self.wave, channel, self.tx_pattern)
         ]
         psd = _folded_psd(preset, sc.effective_noise_psd_dbm_hz)
         self.sigma = noise_sigma(psd, self.wave.sample_rate) * math.sqrt(self.kernel.shape[0])
@@ -363,24 +352,17 @@ def fading_rate(
     if any(b <= a for a, b in zip(pos, pos[1:])):
         raise AnalysisError("route positions must be strictly increasing")
 
-    best: tuple[int, int] | None = None  # (start, stop) inclusive
+    runs = []  # (start, stop) inclusive, of each maximal decreasing run
     start = 0
     for i in range(1, len(route) + 1):
         if i == len(route) or route[i][1] >= route[i - 1][1]:
             if i - 1 > start:
-                if best is None:
-                    best = (start, i - 1)
-                else:
-                    length = i - 1 - start
-                    best_len = best[1] - best[0]
-                    drop = route[start][1] - route[i - 1][1]
-                    best_drop = route[best[0]][1] - route[best[1]][1]
-                    if length > best_len or (length == best_len and drop > best_drop):
-                        best = (start, i - 1)
+                runs.append((start, i - 1))
             start = i
-    if best is None:
+    if not runs:
         return 0.0, 0.0
-    a, b = best
+    # the longest run, then the larger drop; max keeps the first of equals
+    a, b = max(runs, key=lambda r: (r[1] - r[0], route[r[0]][1] - route[r[1]][1]))
     db_per_m = (route[a][1] - route[b][1]) / (route[b][0] - route[a][0])
     db_per_s = db_per_m * speed_mps
     if not math.isfinite(db_per_s):

@@ -26,6 +26,7 @@ from corrsounder.scenario_io import (
     load_scenario,
     run_campaign,
 )
+from corrsounder.sweep import LinkBudget, eirp, max_measurable_path_loss
 from corrsounder.waveform import read_waveform
 
 MINI_SCENARIO = """
@@ -449,11 +450,23 @@ class TestCli:
         assert "length 127" in out
         assert "64 x +1 / 63 x -1" in out
 
-    def test_budget_table1(self, capsys):
-        assert cli_main(["budget", "--table1"]) == 0
-        out = capsys.readouterr().out
-        assert "EIRP: 41.60 dBm" in out
-        assert "max measurable path loss: 185" in out
+    def test_budget_table1_removed(self, capsys):
+        # no --table1: budget's defaults are the 500 Mcps budget
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["budget", "--table1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_budget_defaults_are_the_full_preset_budget(self, capsys):
+        assert cli_main(["budget"]) == 0
+        budget = LinkBudget.full_preset_budget()
+        assert capsys.readouterr().out.splitlines() == [
+            f"EIRP: {eirp(budget.tx_power_dbm, budget.tx_gain_dbi):.2f} dBm",
+            f"processing gain: {budget.processing_gain_db:.2f} dB",
+            f"averaging gain: {budget.averaging_gain_db:.2f} dB",
+            f"noise floor: {budget.noise_floor_dbm:.2f} dBm",
+            f"max measurable path loss: {max_measurable_path_loss(budget):.2f} dB",
+        ]
 
     @pytest.mark.parametrize(
         "flag",
@@ -746,7 +759,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "wedge, code", [("[5.0, 1e160]", 3), ("[5.0, 1e297]", 2)], ids=["delay-check", "fspl-range"]
     )
-    def test_far_diffracting_edge_exit_code(self, tmp_path, wedge, code):
+    def test_far_diffracting_edge_exit_code(self, tmp_path, wedge, code, caplog):
         # the wall blocks A's direct ray, so the far wedge diffracts; squaring
         # its Fresnel parameter overflowed before the path's delay (1e160 m
         # away) or free-space loss (2e297 m of path) could be refused
@@ -759,6 +772,10 @@ class TestCli:
         out = tmp_path / "sim"
         assert cli_main(["simulate", "--scenario", str(scenario), "--rx-index", "0", "--out", str(out)]) == code
         assert not out.exists()
+        if code == 3:  # the delay prints in six significant digits, not 160
+            (message,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+            assert "path at 6.67128e+160 ns" in message
+            assert len(message) < 200
 
     def test_campaign_path_in_noise_floor_window_leaves_no_output_dir(self, tmp_path):
         # a reflector 560 m south puts a 3.74 us path into the full preset's

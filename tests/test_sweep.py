@@ -23,6 +23,7 @@ from corrsounder import sweep as sweep_module
 from corrsounder.cli import main as cli_main, shipped_scenario_path
 from corrsounder.correlator import (
     correlate_fast,
+    correlate_literal,
     desk_preset,
     get_preset,
     processing_gain,
@@ -58,7 +59,6 @@ from corrsounder.sweep import (
     noise_floor_dbm,
     omni_power,
     path_loss,
-    probe_waveform,
     run_sweep,
 )
 from paper_procedure import two_path_dip_db
@@ -220,6 +220,18 @@ class TestFadingRate:
         rate_m, _ = fading_rate(route, 1.0)
         # run from 10 m to 25 m: 11 dB over 15 m
         assert rate_m == pytest.approx(11.0 / 15.0)
+
+    def test_equal_length_runs_larger_drop_wins(self):
+        # two two-step runs: 0-10 m drops 4 dB, 15-25 m drops 9 dB
+        route = [(0.0, -40.0), (5.0, -42.0), (10.0, -44.0), (15.0, -30.0), (20.0, -35.0), (25.0, -39.0)]
+        rate_m, _ = fading_rate(route, 1.0)
+        assert rate_m == pytest.approx(9.0 / 10.0)
+
+    def test_equal_length_and_drop_first_run_wins(self):
+        # two one-step runs of 6 dB: 0-5 m, then 10-20 m (over twice the distance)
+        route = [(0.0, -40.0), (5.0, -46.0), (10.0, -30.0), (20.0, -36.0)]
+        rate_m, _ = fading_rate(route, 1.0)
+        assert rate_m == pytest.approx(6.0 / 5.0)
 
     def test_positions_must_increase(self):
         with pytest.raises(AnalysisError):
@@ -462,7 +474,7 @@ class TestFoldedNoise:
         # the whole dilated record and folded by correlate_fast
         sc, capture = noise_only_capture(desk)
         iso, silent = sc.rx_pattern, MultipathChannel(paths=(), carrier_hz=73.5e9)
-        full_record = probe_waveform(desk, 0.0, "literal")
+        full_record = desk.transmit_waveform(periods=round(slide_factor(desk.config)))
         assert_same_mean_power((
             lambda rng: capture.acquire(iso, rng)[1],
             lambda rng: correlate_fast(
@@ -567,8 +579,7 @@ class TestSweepMatchesPublicStages:
         quiet = Capture(replace(sc, noise_psd_dbm_hz=-math.inf), 3, preset, channel)
         branches, trace = quiet.acquire(rx, np.random.default_rng(7))
         received = apply_channel(
-            probe_waveform(preset, sc.tx_power_dbm), channel,
-            sc.tx_pattern.pointed(*sc.tx_pointing_for(sc.rx_locations[3])), rx,
+            quiet.wave, channel, sc.tx_pattern.pointed(*sc.tx_pointing_for(sc.rx_locations[3])), rx
         )
         record = quiet.kernel.inverse(branches)
         assert np.abs(record - received.samples).max() <= 1e-13 * np.abs(received.samples).max()
@@ -592,6 +603,36 @@ class TestSweepMatchesPublicStages:
         )[0]
         received = replace(capture.wave, samples=capture.kernel.inverse(branches))
         cir = correlate_fast(received, desk.config, desk.chip_sequence())
+        pdp = threshold_pdp(pdp_from_iq(
+            cir, system_pulse_energy_bins(desk), location=rx_loc.ident, angle=azimuth
+        ))
+        write_cir_csv(cir, tmp_path / "cir.csv", desk.config)
+        write_pdp_csv(pdp, tmp_path / "pdp.csv")
+        for name in ("cir.csv", "pdp.csv"):
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+
+    def test_simulate_literal_writes_the_public_stages_bytes(self, desk, tmp_path):
+        # simulate --literal runs the oracle on the location's Capture: its
+        # probe tiled over the dilated record, apply_channel at the full PSD
+        # seeded with default_rng(seed), correlate_literal and the Capture's
+        # threshold; the files must be the stage-by-stage chain's
+        out = tmp_path / "sim"
+        assert cli_main([
+            "simulate", "--scenario", "corner_route", "--rx-index", "5", "--seed", "1",
+            "--literal", "--out", str(out),
+        ]) == 0
+        sc = load_scenario(shipped_scenario_path("corner_route"))
+        channel = synthesize_channel(sc, 5)
+        rx_loc = sc.rx_locations[5]
+        azimuth = max(channel.paths, key=lambda p: p.gain).aoa_az_deg
+        probe = desk.transmit_waveform(periods=round(slide_factor(desk.config)))
+        probe = replace(probe, samples=probe.samples * math.sqrt(10.0 ** (sc.tx_power_dbm / 10.0)))
+        received = apply_channel(
+            probe, channel, sc.tx_pattern.pointed(*sc.tx_pointing_for(rx_loc)),
+            sc.rx_pattern.pointed(azimuth, sc.rx_elevation_deg), sc.effective_noise_psd_dbm_hz,
+            np.random.default_rng(1),
+        )
+        cir = correlate_literal(received, desk.config, desk.chip_sequence())
         pdp = threshold_pdp(pdp_from_iq(
             cir, system_pulse_energy_bins(desk), location=rx_loc.ident, angle=azimuth
         ))
